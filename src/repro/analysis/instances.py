@@ -70,14 +70,15 @@ def evaluate_battery(
     module-level callable when ``workers > 1`` with the process executor.
 
     Batteries are runs of consecutive instances over the same network (see
-    :func:`instances_for`); each run's network crosses into process workers
-    once as shared-memory flat buffers via
-    :meth:`~repro.perf.parallel.ParallelBatteryRunner.map_on_network`,
+    :func:`instances_for`); each network crosses into process workers once
+    as shared-memory flat buffers via
+    :meth:`~repro.perf.parallel.ParallelBatteryRunner.map_on_networks`,
     and workers rebuild the ``Instance`` around the attached network — the
     per-task payload shrinks to ``(placement, family)`` plus any extra
-    tuple elements.  Items may be bare instances or tuples whose first
-    element is the instance (the ``(instance, seed)`` shape of the Table 1
-    batteries); anything else falls back to the plain pickled map.
+    tuple elements.  The whole battery goes out in one fan-out.  Items may
+    be bare instances or tuples whose first element is the instance (the
+    ``(instance, seed)`` shape of the Table 1 batteries); anything else
+    falls back to the plain pickled map.
     """
     if runner is None:
         runner = ParallelBatteryRunner(workers=workers)
@@ -90,21 +91,11 @@ def evaluate_battery(
         anchors = [_instance_of(item) for item in instances]
         if any(anchor is None for anchor in anchors):
             return runner.map(evaluate, instances)
-        results: List[object] = []
-        adapter = _EvaluateOnNetwork(evaluate)
-        start = 0
-        while start < len(instances):
-            network = anchors[start].network
-            stop = start
-            while stop < len(instances) and anchors[stop].network is network:
-                stop += 1
-            payloads = [
-                _strip_network(instances[k], anchors[k])
-                for k in range(start, stop)
-            ]
-            results.extend(runner.map_on_network(adapter, network, payloads))
-            start = stop
-        return results
+        tasks = [
+            (anchor.network, _strip_network(item, anchor))
+            for item, anchor in zip(instances, anchors)
+        ]
+        return runner.map_on_networks(_EvaluateOnNetwork(evaluate), tasks)
 
 
 def _instance_of(item: object) -> Optional[Instance]:

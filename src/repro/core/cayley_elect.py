@@ -28,19 +28,66 @@ Concretely (see DESIGN.md §"Theorem 4.1 fidelity"):
 The protocol is *generic*: a :class:`CayleyElectAgent` dropped on a
 non-Cayley network reports ``NOT_CAYLEY`` (it is only claimed effectual for
 the Cayley class).
+
+The multiset of ``d_R`` values (or "not Cayley") depends only on the
+isomorphism class of the bicolored map, so the simulator computes it once
+per class and shares it between agents (:func:`stabilizer_sizes`).
+The verdict itself is decided per agent, because it also depends on the
+agent's schedule.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence, Tuple
 
 from ..graphs.automorphisms import color_preserving_automorphisms
+from ..graphs.network import AnonymousNetwork
 from ..groups.permgroup import find_regular_subgroups
+from ..perf import cache as _cache
 from ..sim.traversal import LocalMap
 from .elect import ElectAgent
-from .ordering import ClassStructure
+from .ordering import ClassStructure, shared_form
 from .reduce_phases import Schedule
 from .result import AgentReport, Verdict
+
+
+def stabilizer_sizes(
+    network: AnonymousNetwork, bicoloring: Sequence[int], limit: int
+) -> Optional[Tuple[int, ...]]:
+    """Sorted ``d_R`` over the regular subgroups ``R ≤ Aut(G)``, or ``None``
+    if there are none (the map is not a Cayley graph).
+
+    Shared per isomorphism class of the bicolored map (cache kind
+    ``"cayley_stabilizers"``; see :func:`repro.core.ordering.shared_form`);
+    ``limit`` caps the automorphism search.  Exceptions are not stored.
+    """
+    form = shared_form(network, bicoloring)
+    if form is None:
+        return _stabilizer_sizes(network, bicoloring, limit)
+    key, _ = form
+    return _cache.memo_value(
+        "cayley_stabilizers",
+        (key, limit),
+        lambda: _stabilizer_sizes(network, bicoloring, limit),
+    )
+
+
+def _stabilizer_sizes(
+    network: AnonymousNetwork, bicoloring: Sequence[int], limit: int
+) -> Optional[Tuple[int, ...]]:
+    autos = color_preserving_automorphisms(network, node_colors=None, limit=limit)
+    subgroups = find_regular_subgroups(autos, network.num_nodes)
+    if not subgroups:
+        return None
+    blacks = {v for v, c in enumerate(bicoloring) if c == 1}
+    return tuple(sorted(
+        sum(
+            1
+            for phi in subgroup
+            if all((phi[v] in blacks) == (v in blacks) for v in network.nodes())
+        )
+        for subgroup in subgroups
+    ))
 
 
 class CayleyElectAgent(ElectAgent):
@@ -56,27 +103,13 @@ class CayleyElectAgent(ElectAgent):
         structure: ClassStructure,
         schedule: Schedule,
     ) -> Optional[AgentReport]:
-        network = local_map.network
-        bicolor = local_map.bicoloring()
-        blacks = {v for v, c in enumerate(bicolor) if c == 1}
-
-        autos = color_preserving_automorphisms(
-            network, node_colors=None, limit=self.automorphism_limit
+        sizes = stabilizer_sizes(
+            local_map.network, local_map.bicoloring(), self.automorphism_limit
         )
-        subgroups = find_regular_subgroups(autos, network.num_nodes)
-        if not subgroups:
+        if sizes is None:
             return AgentReport(verdict=Verdict.NOT_CAYLEY)
 
-        stabilizer_sizes: List[int] = []
-        for subgroup in subgroups:
-            d = sum(
-                1
-                for phi in subgroup
-                if all((phi[v] in blacks) == (v in blacks) for v in network.nodes())
-            )
-            stabilizer_sizes.append(d)
-
-        if any(d > 1 for d in stabilizer_sizes):
+        if any(d > 1 for d in sizes):
             # Theorem 4.1 impossibility: the natural labeling of that
             # subgroup's presentation has label classes of size d > 1.
             return AgentReport(verdict=Verdict.FAILED)

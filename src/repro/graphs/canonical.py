@@ -30,12 +30,14 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tup
 
 from ..errors import GraphError
 from ..perf import cache as _cache
-from ..perf.kernel import DigraphKernel, resolve_kernel
+from ..perf.kernel import DIGRAPH_NUMPY_MIN_NODES, DigraphKernel, resolve_kernel
 
 if False:  # pragma: no cover - typing only
     from .network import AnonymousNetwork
 
 CanonicalKey = Tuple[int, Tuple[int, ...], bytes]
+#: (canonical colors row, canonical adjacency bits).
+Encoding = Tuple[Tuple[int, ...], bytes]
 
 #: Version tag mixed into :func:`canonical_hash`.  Bump whenever the
 #: canonical encoding changes shape: persisted stores keyed by the hash
@@ -140,16 +142,27 @@ def digraph_refinement(
     canonical encodings — and the pinned ``canonical_hash`` goldens — are
     identical under every backend.  ``"worklist"`` and ``"baseline"`` both
     mean this Python reference (there is no splitter-queue variant here).
+    ``None`` picks by node count (numpy from
+    :data:`~repro.perf.kernel.DIGRAPH_NUMPY_MIN_NODES` on).
     """
-    if resolve_kernel(kernel) == "numpy":
+    if resolve_kernel(kernel, g.num_nodes, DIGRAPH_NUMPY_MIN_NODES) == "numpy":
         return DigraphKernel(g).refine(initial)
     return _digraph_refinement_python(g, initial)
 
 
-def _digraph_refinement_python(g: Digraph, initial: Sequence[int]) -> List[int]:
-    """The per-node tuple/sort reference implementation (parity oracle)."""
+def _digraph_refinement_python(
+    g: Digraph,
+    initial: Sequence[int],
+    preds: Optional[Tuple[FrozenSet[int], ...]] = None,
+) -> List[int]:
+    """The per-node tuple/sort reference implementation (parity oracle).
+
+    ``preds`` (``g.in_edges()``) may be passed in by callers that refine
+    the same digraph many times.
+    """
     classes = list(initial)
-    preds = g.in_edges()
+    if preds is None:
+        preds = g.in_edges()
     while True:
         sigs = []
         for x in range(g.num_nodes):
@@ -168,7 +181,7 @@ def _digraph_refinement_python(g: Digraph, initial: Sequence[int]) -> List[int]:
         classes = new_classes
 
 
-def _encode_ordering(g: Digraph, order: Sequence[int]) -> Tuple[Tuple[int, ...], bytes]:
+def _encode_ordering(g: Digraph, order: Sequence[int]) -> Encoding:
     """Encoding of g under a node ordering: (colors row, adjacency bitstring).
 
     ``order[i]`` = node placed at position i.  The adjacency component packs
@@ -193,25 +206,84 @@ def _make_refiner(g: Digraph, kernel: Optional[str]):
     search: the numpy backend prebuilds the flat digraph buffers once and
     reuses them across the hundreds of re-refinements the recursion makes.
     """
-    if resolve_kernel(kernel) == "numpy":
+    if resolve_kernel(kernel, g.num_nodes, DIGRAPH_NUMPY_MIN_NODES) == "numpy":
         return DigraphKernel(g).refine
-    return lambda classes: _digraph_refinement_python(g, classes)
+    preds = g.in_edges()
+    return lambda classes: _digraph_refinement_python(g, classes, preds)
 
 
-def canonical_encoding(
+def canonical_search(
     g: Digraph, kernel: Optional[str] = None
-) -> Tuple[Tuple[int, ...], bytes]:
-    """Minimum encoding over all refinement-consistent orderings.
+) -> Tuple[Encoding, Tuple[int, ...]]:
+    """The canonical encoding of ``g`` and a node order that attains it.
 
-    Implements individualization–refinement; leaves are discrete partitions,
-    each giving a candidate encoding, and the minimum is canonical.  The
-    result is backend-independent (the kernels agree bit-for-bit).
+    Individualization–refinement: leaves are discrete partitions, each
+    giving a candidate encoding; the minimum is canonical.  The order is
+    the first leaf reaching that minimum (``order[i]`` is the node at
+    canonical position ``i``).  Ties across automorphic nodes are broken
+    arbitrarily but consistently: on isomorphic inputs the orders are
+    related by an isomorphism, which is what lets results computed in
+    canonical coordinates be mapped back onto any copy.
+
+    Memoized on the (hashable, immutable) digraph under the cache kind
+    ``"canonical_key"``: the search is by far the most expensive step of
+    the Lemma 3.1 ordering, and :func:`canonical_key`,
+    :func:`canonical_hash` and the shared class structure
+    (:func:`repro.core.ordering.compute_class_structure`) all start from
+    it.  The result is backend-independent (the kernels agree
+    bit-for-bit, so they walk the same search tree), hence the
+    backend-free memo key.
+
+    Automorphisms found on the way prune the tree.  Two leaves with the
+    same encoding give an automorphism ``γ``; a subtree is skipped only
+    when some such ``γ`` (checked explicitly, never assumed) fixes the
+    subtree's path prefix pointwise and maps an already-explored sibling
+    onto it.  The refinement is equivariant, so the skipped subtree is the
+    ``γ``-image of one explored earlier and holds no encoding that was not
+    met before.  In particular the first leaf of the minimum encoding is
+    never skipped: the result is exactly that of the unpruned search.
+    Two rules use this: at every tree node, siblings in one orbit of the
+    automorphisms fixing the prefix are explored once; and a leaf equal to
+    the first leaf abandons the rest of its branch back to the level where
+    it left the first path (McKay's rule).  On K_{3,7} with every node
+    colored alike this takes 9 leaves instead of 3!·7! = 30 240.
     """
-    base_colors = _normalize_palette(g.colors)
-    refine = _make_refiner(g, kernel)
-    best: List[Optional[Tuple[Tuple[int, ...], bytes]]] = [None]
+    return _cache.memo_value("canonical_key", g, lambda: _canonical_search(g, kernel))
 
-    def recurse(classes: List[int]) -> None:
+
+def _canonical_search(
+    g: Digraph, kernel: Optional[str]
+) -> Tuple[Encoding, Tuple[int, ...]]:
+    n = g.num_nodes
+    refine = _make_refiner(g, kernel)
+    best: Optional[Tuple[Encoding, Tuple[int, ...]]] = None
+    first: Optional[Tuple[Encoding, List[int], Tuple[int, ...]]] = None
+    autos: List[List[int]] = []  # automorphisms, as node -> image
+
+    def automorphism(a: Sequence[int], b: Sequence[int]) -> List[int]:
+        """The node map carrying leaf order ``a`` onto leaf order ``b``."""
+        gamma = [0] * n
+        for x, y in zip(a, b):
+            gamma[x] = y
+        return gamma
+
+    def orbit(seeds: List[int], path: Tuple[int, ...]) -> Set[int]:
+        """Closure of ``seeds`` under the automorphisms fixing ``path``."""
+        gens = [gm for gm in autos if all(gm[x] == x for x in path)]
+        seen = set(seeds)
+        frontier = list(seeds)
+        while frontier:
+            x = frontier.pop()
+            for gm in gens:
+                y = gm[x]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return seen
+
+    def recurse(classes: List[int], path: Tuple[int, ...]) -> Optional[int]:
+        """Search below ``path``; returns the level to unwind to, if any."""
+        nonlocal best, first
         classes = refine(classes)
         cells: Dict[int, List[int]] = {}
         for node, cid in enumerate(classes):
@@ -223,20 +295,45 @@ def canonical_encoding(
                 break
         if target_cell is None:
             # Discrete: class ids are a permutation of 0..n-1; order by id.
-            order = sorted(range(g.num_nodes), key=lambda x: classes[x])
+            order = sorted(range(n), key=lambda x: classes[x])
             enc = _encode_ordering(g, order)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
-        next_id = g.num_nodes  # a fresh class id, strictly above existing ones
+            if first is None:
+                first = (enc, order, path)
+                best = (enc, tuple(order))
+                return None
+            assert best is not None
+            if enc < best[0]:
+                best = (enc, tuple(order))
+            elif enc == best[0] and best[0] != first[0]:
+                autos.append(automorphism(best[1], order))
+            if enc == first[0]:
+                gamma = automorphism(first[1], order)
+                autos.append(gamma)
+                first_path = first[2]
+                level = 0
+                while path[level] == first_path[level]:
+                    level += 1
+                if gamma[first_path[level]] == path[level] and all(
+                    gamma[x] == x for x in path[:level]
+                ):
+                    return level
+            return None
+        next_id = n  # a fresh class id, strictly above existing ones
+        explored: List[int] = []
         for node in target_cell:
+            if explored and node in orbit(explored, path):
+                continue
+            explored.append(node)
             child = list(classes)
             child[node] = next_id
-            recurse(child)
+            unwind = recurse(child, path + (node,))
+            if unwind is not None and unwind < len(path):
+                return unwind
+        return None
 
-    recurse(base_colors)
-    assert best[0] is not None
-    return best[0]
+    recurse(_normalize_palette(g.colors), ())
+    assert best is not None
+    return best
 
 
 def canonical_key(g: Digraph) -> CanonicalKey:
@@ -244,54 +341,11 @@ def canonical_key(g: Digraph) -> CanonicalKey:
 
     ``canonical_key(g1) == canonical_key(g2)`` iff the colored digraphs are
     isomorphic; keys of non-isomorphic digraphs compare consistently in
-    every process, giving the ``≺`` of Lemma 3.1.
-
-    Memoized on the (hashable, immutable) digraph itself: the
-    individualization–refinement search is by far the most expensive step
-    of the Lemma 3.1 ordering, and the batteries ask for the same
-    surrounding digraphs repeatedly.
+    every process, giving the ``≺`` of Lemma 3.1.  Memoized through
+    :func:`canonical_search`.
     """
-    return _cache.memo_value(
-        "canonical_key", g, lambda: (g.num_nodes, *canonical_encoding(g))
-    )
-
-
-def canonical_node_order(g: Digraph, kernel: Optional[str] = None) -> List[int]:
-    """A canonical ordering of the nodes (the argmin ordering).
-
-    Ties across automorphic nodes are broken arbitrarily but consistently:
-    any two runs on isomorphic inputs produce orderings related by an
-    isomorphism.  Used to pick canonical representatives deterministically.
-    """
-    base_colors = _normalize_palette(g.colors)
-    refine = _make_refiner(g, kernel)
-    best: List[Optional[Tuple[Tuple[Tuple[int, ...], bytes], Tuple[int, ...]]]] = [None]
-
-    def recurse(classes: List[int]) -> None:
-        classes = refine(classes)
-        cells: Dict[int, List[int]] = {}
-        for node, cid in enumerate(classes):
-            cells.setdefault(cid, []).append(node)
-        target_cell = None
-        for cid in sorted(cells):
-            if len(cells[cid]) > 1:
-                target_cell = cells[cid]
-                break
-        if target_cell is None:
-            order = sorted(range(g.num_nodes), key=lambda x: classes[x])
-            enc = _encode_ordering(g, order)
-            if best[0] is None or enc < best[0][0]:
-                best[0] = (enc, tuple(order))
-            return
-        next_id = g.num_nodes
-        for node in target_cell:
-            child = list(classes)
-            child[node] = next_id
-            recurse(child)
-
-    recurse(base_colors)
-    assert best[0] is not None
-    return list(best[0][1])
+    encoding, _ = canonical_search(g)
+    return (g.num_nodes, *encoding)
 
 
 def digraphs_isomorphic(a: Digraph, b: Digraph) -> bool:

@@ -21,7 +21,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from ..perf import cache as _cache
-from ..perf.kernel import resolve_kernel, surrounding_arcs_numpy
+from ..perf.kernel import VIEW_NUMPY_MIN_NODES, resolve_kernel, surrounding_arcs_numpy
 from .canonical import CanonicalKey, Digraph, canonical_key, digraph_refinement
 from .network import AnonymousNetwork
 from .views import _colors_key, _normalize_colors
@@ -63,7 +63,7 @@ def _surrounding(
     if not network.is_simple:
         raise GraphError("surroundings are defined for simple networks")
     colors = _normalize_colors(network, node_colors)
-    if resolve_kernel(kernel) == "numpy":
+    if resolve_kernel(kernel, network.num_nodes, VIEW_NUMPY_MIN_NODES) == "numpy":
         arcs = surrounding_arcs_numpy(network, u)
     else:
         dist = network.distances_from(u)

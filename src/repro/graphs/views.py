@@ -61,10 +61,10 @@ from ..errors import GraphError
 from ..perf import cache as _cache
 from ..perf.kernel import (  # noqa: F401  (re-exported selector surface)
     KERNELS,
+    VIEW_NUMPY_MIN_NODES,
     default_kernel,
     refine_numpy,
     resolve_kernel,
-    set_default_kernel,
 )
 from .network import AnonymousNetwork, PortLabel
 
@@ -336,11 +336,11 @@ def view_refinement(
     per ``(network, kernel, coloring)``; the cache-miss count in
     ``repro.perf.cache_stats()["view_refinement"]`` is the number of actual
     refinement runs.  ``kernel`` selects the backend: ``"numpy"`` (the
-    flat-array vectorized kernel, the default), ``"worklist"`` (the
-    Paige–Tarjan splitter queue) or ``"baseline"`` (the seed
-    all-nodes-every-round loop); ``None`` resolves to the process default
-    (``repro.perf.kernel.set_default_kernel`` /
-    ``REPRO_REFINEMENT_KERNEL``).  All backends induce the same partition
+    flat-array vectorized kernel), ``"worklist"`` (the Paige–Tarjan
+    splitter queue) or ``"baseline"`` (the seed all-nodes-every-round
+    loop); ``None`` picks by node count — the worklist below
+    :data:`~repro.perf.kernel.VIEW_NUMPY_MIN_NODES`, numpy from there on.
+    All backends induce the same partition
     with equivariant ids; the *numbering* is per-backend (each is
     canonical on its own, which is all the id-based orders need).
     ``max_rounds`` requests the depth-limited classes instead, which only
@@ -349,7 +349,7 @@ def view_refinement(
     """
     if max_rounds is not None:
         return view_refinement_baseline(network, node_colors, max_rounds)
-    backend = resolve_kernel(kernel)
+    backend = resolve_kernel(kernel, network.num_nodes, VIEW_NUMPY_MIN_NODES)
 
     def compute() -> Tuple[int, ...]:
         if backend == "baseline":

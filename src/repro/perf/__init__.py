@@ -7,19 +7,23 @@ funnels through the view-refinement and canonical-form machinery in
 
 * :mod:`repro.perf.cache` — a per-:class:`~repro.graphs.AnonymousNetwork`
   memo cache shared by ``view_refinement``, ``view_classes``,
-  ``views_equal``, ``symmetricity_of_labeling``, ``view_quotient``,
-  ``surrounding_key`` and ``canonical_key``, with hit/miss counters, an
-  explicit ``invalidate`` and an ``uncached()`` escape hatch;
+  ``views_equal``, ``symmetricity_of_labeling``, ``view_quotient`` and
+  ``surrounding_key``, plus a bounded value table for results keyed by
+  content rather than by network: the canonical search of a digraph, and
+  the class structure and Cayley stabiliser sizes of a bicolored map,
+  keyed by its canonical form.  Hit/miss counters, an explicit
+  ``invalidate`` and an ``uncached()`` escape hatch govern both;
 * :mod:`repro.perf.kernel` — the flat-array refinement kernel: CSR-style
   numpy buffers per network (:func:`flat_network`), the vectorized
   refinement passes behind the ``kernel="numpy" | "worklist" | "baseline"``
-  selector (:func:`default_kernel` / :func:`set_default_kernel` /
-  ``REPRO_REFINEMENT_KERNEL``), and the exact-parity digraph kernel the
-  canonical machinery uses;
+  selector, and the exact-parity digraph kernel the canonical machinery
+  uses.  Without an explicit ``kernel=``, each function picks its backend
+  by node count (Python below a measured crossover, numpy above;
+  :func:`default_kernel` describes the rule);
 * :mod:`repro.perf.parallel` — :class:`ParallelBatteryRunner`, a
   ``concurrent.futures`` fan-out over independent election instances with
   deterministic result ordering (used by ``reproduce_table1`` and the
-  instance batteries), including the shared-memory ``map_on_network`` path;
+  instance batteries), including the shared-memory ``map_on_networks`` path;
 * :mod:`repro.perf.shm` — one-shot shared-memory export of a network's
   flat buffers for process workers (:func:`~repro.perf.shm.export_network`
   / :func:`~repro.perf.shm.attach_network`);
@@ -49,7 +53,6 @@ from .kernel import (
     flat_network,
     refine_numpy,
     resolve_kernel,
-    set_default_kernel,
 )
 from .parallel import ParallelBatteryRunner, parallel_map
 from .shm import SharedNetworkHandle, attach_network, export_network
@@ -65,7 +68,6 @@ __all__ = [
     "parallel_map",
     "refine_numpy",
     "resolve_kernel",
-    "set_default_kernel",
     "cache_enabled",
     "cache_stats",
     "invalidate",

@@ -43,13 +43,53 @@ hot path on flat integer arrays:
 
 Backend selection
 -----------------
-:func:`resolve_kernel` maps the user-facing selector to a backend name:
-``"numpy"`` (default), ``"worklist"`` (the Paige–Tarjan splitter queue) or
-``"baseline"`` (the seed all-nodes-every-round loop).  The process default
-can be overridden with :func:`set_default_kernel` or the
-``REPRO_REFINEMENT_KERNEL`` environment variable.  The pure-Python
-implementations are kept as parity oracles; the hypothesis suite pins all
-three to the same partition with equivariant ids.
+:func:`resolve_kernel` maps the ``kernel=`` selector to a backend name:
+``"numpy"``, ``"worklist"`` (the Paige–Tarjan splitter queue; for digraph
+refinement, the Python reference) or ``"baseline"`` (the seed
+all-nodes-every-round loop).  An explicit ``kernel=`` always wins; it is
+what the parity oracles and ``benchmarks/bench_refinement_scaling.py``
+use.  Without one, the backend is chosen by node count: Python below a
+measured crossover, numpy at or above it.  There is one crossover per
+function: :data:`DIGRAPH_NUMPY_MIN_NODES` for ``digraph_refinement`` and
+the canonical search, :data:`VIEW_NUMPY_MIN_NODES` for ``view_refinement``
+and ``surrounding``.  The rule depends on the size only, so isomorphic
+copies always take the same backend.
+
+Measured per call (best of 5, ms; Xeon @ 2.1 GHz, Python 3.11, numpy
+with scipy).  Instances: ``random_connected_graph(n, 8/n,
+rng=Random(n))``, the k×k grid with k = round(√n), and the n-cycle, two
+nodes colored.  "digraph" is ``digraph_refinement`` of the surrounding
+``S(0)``, built fresh; "in search" re-refines an individualized partition
+with the buffers prebuilt, as the canonical search does; "view" is
+``view_refinement`` with the flat buffers built fresh; "surr." is
+``surrounding`` with the flat buffers already built.  Python | numpy:
+
+=====  ======  =============  ===========  ===========  ===========
+n      family  digraph        in search    view         surr.
+=====  ======  =============  ===========  ===========  ===========
+16     random  0.17 | 1.25    0.09 | 0.74  0.13 | 0.55  0.05 | 0.15
+16     cycle   0.13 | 0.49    0.06 | 0.17  0.12 | 0.29  0.02 | 0.09
+64     random  0.51 | 1.48    0.34 | 1.05  0.66 | 1.50  0.18 | 0.23
+64     grid    0.79 | 0.80    0.23 | 0.19  0.63 | 0.45  0.10 | 0.14
+64     cycle   2.14 | 1.90    0.20 | 0.18  0.42 | 0.35  0.08 | 0.12
+100    random  0.88 | 1.87    0.58 | 1.12  0.65 | 1.06  0.31 | 0.40
+100    grid    0.98 | 0.73    2.21 | 1.34  0.90 | 0.54  0.15 | 0.21
+100    cycle   4.99 | 3.12    0.31 | 0.18  0.64 | 0.39  0.11 | 0.17
+144    random  1.23 | 2.73    0.84 | 1.51  1.10 | 1.31  —
+144    grid    4.32 | 2.47    0.51 | 0.25  1.36 | 0.71  —
+196    random  2.11 | 4.08    1.80 | 2.36  1.62 | 1.67  0.58 | 0.54
+196    grid    7.39 | 3.17    1.22 | 0.43  2.00 | 0.83  0.27 | 0.32
+400    random  3.79 | 4.49    2.64 | 2.47  5.10 | 4.54  1.66 | 1.66
+400    grid    11.9 | 4.28    1.46 | 0.44  6.31 | 2.17  0.68 | 0.65
+1024   random  —              —            18.2 | 13.0  4.53 | 3.88
+=====  ======  =============  ===========  ===========  ===========
+
+Numpy's fixed cost per call (array set-up, ``np.unique``) makes it lose
+on every family at 16 nodes.  Structured graphs (grids, cycles) cross
+over between 64 and 144 nodes, random sparse graphs between 200 and
+400.  Both crossovers are set at 128: an election's maps (tens of nodes)
+always run in Python, the large single refinements the kernel was built
+for (n ≥ 500, 16–46× faster) always run on numpy.
 
 Degenerate guard: the padded signature matrix is Θ(n · Δ).  On irregular
 graphs with a huge hub (``n · Δ`` beyond ``DENSE_LIMIT`` cells) the numpy
@@ -60,7 +100,7 @@ equivariance is preserved.
 
 from __future__ import annotations
 
-import os
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -68,15 +108,24 @@ import numpy as np
 from ..errors import GraphError
 from . import cache as _cache
 
-try:  # C-speed BFS for the distance accelerator; optional.
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _csr_matrix = None
-    _csgraph_dijkstra = None
-    HAVE_SCIPY = False
+
+@functools.lru_cache(maxsize=None)
+def _scipy() -> Optional[Tuple[Any, Any]]:
+    """``(csr_matrix, dijkstra)`` for the distance accelerator, or None.
+
+    Imported on first use: scipy.sparse costs ~33 MB of resident memory
+    and ~0.1 s, and only the numpy backend needs it — which the size rule
+    runs on large graphs only.  Without scipy the accelerator falls back
+    to a pure-Python BFS.
+    """
+    try:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+    except ImportError:  # pragma: no cover - exercised via the fallback tests
+        return None
+    return csr_matrix, dijkstra
+
 
 #: The view-refinement backends, in preference order.
 KERNELS = ("numpy", "worklist", "baseline")
@@ -97,29 +146,34 @@ _PACK_LIMIT = 2**62
 
 _PAD = np.int64(-1)
 
-_default_kernel = os.environ.get("REPRO_REFINEMENT_KERNEL", "numpy")
+#: Node count from which ``digraph_refinement`` and the canonical search
+#: run on numpy when no ``kernel=`` is given (see the table above).
+DIGRAPH_NUMPY_MIN_NODES = 128
+
+#: Node count from which ``view_refinement`` and ``surrounding`` run on
+#: numpy when no ``kernel=`` is given (see the table above).
+VIEW_NUMPY_MIN_NODES = 128
 
 
 def default_kernel() -> str:
-    """The process-wide default backend (see :func:`set_default_kernel`)."""
-    return _default_kernel
+    """The backend rule applied when no ``kernel=`` is passed, as a label."""
+    return (
+        f"by size (numpy from {DIGRAPH_NUMPY_MIN_NODES} nodes for digraphs, "
+        f"{VIEW_NUMPY_MIN_NODES} for views; Python below)"
+    )
 
 
-def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide default backend; returns the previous one."""
-    global _default_kernel
+def resolve_kernel(kernel: Optional[str], n: int, numpy_min_nodes: int) -> str:
+    """Validate an explicit selector, or pick the backend for ``n`` nodes.
+
+    ``numpy_min_nodes`` is the calling function's crossover
+    (:data:`DIGRAPH_NUMPY_MIN_NODES` or :data:`VIEW_NUMPY_MIN_NODES`).
+    """
+    if kernel is None:
+        return "numpy" if n >= numpy_min_nodes else "worklist"
     if kernel not in KERNELS:
         raise GraphError(f"unknown refinement kernel {kernel!r}; choose from {KERNELS}")
-    previous, _default_kernel = _default_kernel, kernel
-    return previous
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Validate an explicit selector, or resolve ``None`` to the default."""
-    name = _default_kernel if kernel is None else kernel
-    if name not in KERNELS:
-        raise GraphError(f"unknown refinement kernel {name!r}; choose from {KERNELS}")
-    return name
+    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -213,17 +267,19 @@ class FlatNetwork:
     # -- BFS distances --------------------------------------------------
 
     def _ensure_bfs(self) -> Any:
-        if self._bfs_csr is None and HAVE_SCIPY:
+        scipy = _scipy()
+        if self._bfs_csr is None and scipy is not None:
             # float64 data up front: csgraph validates-and-converts any
             # other dtype on *every* call, which dominates small BFS runs.
             data = np.ones(len(self.nbr), dtype=np.float64)
-            self._bfs_csr = _csr_matrix(
+            self._bfs_csr = scipy[0](
                 (data, self.nbr, self.indptr), shape=(self.n, self.n)
             )
         return self._bfs_csr
 
     def _ensure_weighted_bfs(self) -> Any:
-        if self._wbfs_csr is None and HAVE_SCIPY:
+        scipy = _scipy()
+        if self._wbfs_csr is None and scipy is not None:
             # Arc weight = B^pair_rank: an equivariant, port-aware metric.
             # Plain BFS is blind to any reflection that is an isometry of
             # the *unlabeled* graph (on a torus, distance from every
@@ -244,7 +300,7 @@ class FlatNetwork:
                 base = float(int((2.0**52 / max(self.n, 2)) ** (1.0 / (pairs - 1))))
                 base = max(1.0, min(base, float(self.n + 1)))
             data = base ** self.pair_rank.astype(np.float64)
-            self._wbfs_csr = _csr_matrix(
+            self._wbfs_csr = scipy[0](
                 (data, self.nbr, self.indptr), shape=(self.n, self.n)
             )
         return self._wbfs_csr
@@ -259,9 +315,10 @@ class FlatNetwork:
         BFS layers.  Falls back to the unweighted column without scipy (a
         strictly coarser but still sound signal).
         """
-        if not HAVE_SCIPY:
+        scipy = _scipy()
+        if scipy is None:
             return self._bfs_python(sources)
-        dist = _csgraph_dijkstra(
+        dist = scipy[1](
             self._ensure_weighted_bfs(),
             directed=True,
             indices=sources,
@@ -279,10 +336,11 @@ class FlatNetwork:
         just like a finite distance.
         """
         n = self.n
-        if HAVE_SCIPY:
+        scipy = _scipy()
+        if scipy is not None:
             # The CSR image already stores both directions of every edge,
             # so directed=True is exact and skips the symmetrization pass.
-            dist = _csgraph_dijkstra(
+            dist = scipy[1](
                 self._ensure_bfs(),
                 directed=True,
                 unweighted=True,

@@ -18,11 +18,11 @@ The evaluation function and items must be picklable for the process
 executor (module-level functions over :class:`~repro.analysis.instances`
 batteries are; see ``repro.analysis.matrix``).
 
-Big-network batteries should use :meth:`ParallelBatteryRunner.map_on_network`:
-the network crosses into the workers **once** as shared-memory flat buffers
-(see :mod:`repro.perf.shm`) instead of being re-pickled with every task
-chunk, and each per-item payload shrinks to the item plus a handle of a few
-dozen bytes.  Results remain byte-identical to the serial loop for any
+Batteries over a few big networks should use
+:meth:`ParallelBatteryRunner.map_on_networks`: each network crosses into the
+workers **once** as shared-memory flat buffers (see :mod:`repro.perf.shm`)
+instead of being re-pickled with every task chunk, and each per-item
+payload shrinks to the item plus a handle of a few dozen bytes.  Results remain byte-identical to the serial loop for any
 worker count.
 """
 
@@ -36,7 +36,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..obs.registry import get_registry
 from . import shm as _shm
-from .kernel import default_kernel, set_default_kernel
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -84,7 +83,7 @@ class ParallelBatteryRunner:
         self.chunksize = chunksize
         self._pool: Optional[Any] = None
         self._pool_lock = threading.Lock()
-        #: Shared-memory exports made by :meth:`map_on_network`, keyed by
+        #: Shared-memory exports made by :meth:`map_on_networks`, keyed by
         #: network identity (the network is pinned so ids cannot recycle).
         self._exports: Dict[int, Tuple[Any, _shm.NetworkExport]] = {}
 
@@ -101,11 +100,7 @@ class ParallelBatteryRunner:
                 if self.executor == "thread":
                     self._pool = ThreadPoolExecutor(max_workers=self.workers)
                 else:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        initializer=_worker_init,
-                        initargs=(default_kernel(),),
-                    )
+                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
 
     def close(self) -> None:
@@ -178,21 +173,34 @@ class ParallelBatteryRunner:
     def map_on_network(
         self, fn: Callable[[Any, T], R], network: Any, items: Sequence[T]
     ) -> List[R]:
-        """Apply ``fn(network, item)`` to every item; results in input order.
+        """Apply ``fn(network, item)`` to every item (see :meth:`map_on_networks`)."""
+        return self.map_on_networks(fn, [(network, item) for item in items])
 
-        On the process executor the network is exported once into shared
+    def map_on_networks(
+        self, fn: Callable[[Any, T], R], tasks: Sequence[Tuple[Any, T]]
+    ) -> List[R]:
+        """Apply ``fn(network, item)`` to every ``(network, item)`` task;
+        results in input order.
+
+        On the process executor each network is exported once into shared
         memory (per runner, per network — reused across calls) and workers
         rebuild it once per process from the flat buffers, so the per-task
         pickle payload is the item plus a handle instead of the network
-        object graph.  Serial and thread executions call ``fn`` directly on
-        the original network.  Every path evaluates the same pure function
-        on an identical network, so results are byte-identical to serial
-        for any worker count.
+        object graph.  All tasks go out in one fan-out: a battery spanning
+        several networks pays one pool round trip, not one per network, and
+        the contiguous chunks keep a network's tasks together in one worker
+        (whose per-network memo cache they then share).  Serial and thread
+        executions call ``fn`` directly on the original networks.  Every
+        path evaluates the same pure function on identical networks, so
+        results are byte-identical to serial for any worker count.
         """
-        items = list(items)
-        if self.is_serial or len(items) <= 1 or self.executor == "thread":
-            return self.map(_Bound(fn, network), items)
-        return self.map(_Attached(fn, self._export(network).handle), items)
+        tasks = list(tasks)
+        if self.is_serial or len(tasks) <= 1 or self.executor == "thread":
+            return self.map(_Star(fn), tasks)
+        return self.map(
+            _Attached(fn),
+            [(self._export(network).handle, item) for network, item in tasks],
+        )
 
     def _export(self, network: Any) -> _shm.NetworkExport:
         with self._pool_lock:
@@ -217,34 +225,17 @@ class _Star:
         return self.fn(*args)
 
 
-class _Bound:
-    """``fn(network, item)`` with the network bound in-process (serial and
-    thread paths of :meth:`ParallelBatteryRunner.map_on_network`)."""
-
-    def __init__(self, fn: Callable[[Any, Any], Any], network: Any):
-        self.fn = fn
-        self.network = network
-
-    def __call__(self, item: Any) -> Any:
-        return self.fn(self.network, item)
-
-
 class _Attached:
-    """``fn(network, item)`` with the network re-attached from shared memory
-    in the worker (cached per process, so the rebuild happens once)."""
+    """``fn(network, item)`` for a ``(handle, item)`` task, the network
+    re-attached from shared memory in the worker (cached per process, so
+    the rebuild happens once)."""
 
-    def __init__(self, fn: Callable[[Any, Any], Any], handle: _shm.SharedNetworkHandle):
+    def __init__(self, fn: Callable[[Any, Any], Any]):
         self.fn = fn
-        self.handle = handle
 
-    def __call__(self, item: Any) -> Any:
-        return self.fn(_shm.attach_network(self.handle), item)
-
-
-def _worker_init(kernel: str) -> None:
-    """Process-pool initializer: mirror the parent's refinement backend so a
-    parallel battery computes with exactly the kernels serial would use."""
-    set_default_kernel(kernel)
+    def __call__(self, task: Tuple[_shm.SharedNetworkHandle, Any]) -> Any:
+        handle, item = task
+        return self.fn(_shm.attach_network(handle), item)
 
 
 def parallel_map(

@@ -72,6 +72,25 @@ class LocalMap:
         return [self.homebases[v] for v in sorted(self.homebases)]
 
 
+def _adopt_checkpoint_mark(known: int, counter: int) -> int:
+    """The discovery counter after adopting our own mark ``known`` on
+    checkpoint re-entry.
+
+    A faithful re-exploration meets the crashed attempt's marks in their
+    original discovery order, so the only adoptable number is the next
+    one, ``counter + 1``.  A number that skips ahead did not come from
+    that attempt (a corrupted or forged sign); adopting it would leave
+    the numbers in between unregistered, and the map-drawing walk would
+    later look one of them up, so it is rejected loudly.
+    """
+    if known != counter + 1:
+        raise ProtocolError(
+            f"checkpoint re-entry met dfs-visited mark {known}, expected "
+            f"{counter + 1}: the mark is out of discovery order"
+        )
+    return known
+
+
 def draw_map(color: Color, start: NodeView) -> ActionGen:
     """MAP-DRAWING: whiteboard DFS from the home-base.  Returns a LocalMap.
 
@@ -125,7 +144,7 @@ def draw_map(color: Color, start: NodeView) -> ActionGen:
                 # deterministic, so re-exploration revisits nodes in the
                 # original discovery order — adopt the recorded number as
                 # a fresh discovery instead of re-writing the sign.
-                counter = max(counter, known)
+                counter = _adopt_checkpoint_mark(known, counter)
                 register(known, view)
                 explored[current][next_port] = (known, entry)
                 explored[known][entry] = (current, next_port)
@@ -255,7 +274,7 @@ def draw_map_frontier(color: Color, start: NodeView) -> ActionGen:
         if known is not None and known not in explored:
             # Checkpoint re-entry: adopt our own recorded number as a
             # fresh discovery (see draw_map for the reasoning).
-            counter = max(counter, known)
+            counter = _adopt_checkpoint_mark(known, counter)
             register(known, view)
             explored[current][probe] = (known, entry)
             explored[known][entry] = (current, probe)

@@ -131,3 +131,44 @@ class TestDeterminism:
         assert [type(r).__name__ for r in replayed.results] == [
             type(r).__name__ for r in result.results
         ]
+
+
+class TestCheckpointMarkValidation:
+    """Re-entry adopts only the next mark in discovery order."""
+
+    def test_next_mark_is_adopted(self):
+        from repro.sim.traversal import _adopt_checkpoint_mark
+
+        assert _adopt_checkpoint_mark(5, 4) == 5
+
+    def test_skipping_or_reissued_marks_are_rejected(self):
+        import pytest
+
+        from repro.errors import ProtocolError
+        from repro.sim.traversal import _adopt_checkpoint_mark
+
+        with pytest.raises(ProtocolError, match="out of discovery order"):
+            _adopt_checkpoint_mark(11, 4)  # skips ahead
+        with pytest.raises(ProtocolError, match="out of discovery order"):
+            _adopt_checkpoint_mark(3, 4)  # already issued by this run
+
+    def test_corrupted_mark_after_crash_is_classified_not_raised(self):
+        """FuzzConfig(seed=2017, fault_every=5), case 24: Grid3x4 under the
+        greedy scheduler, CrashAtStep + WriteCorrupt.  The restarted agent
+        meets a corrupted mark 11 where its crashed attempt wrote 5; adopting
+        it once ended the sweep with ``KeyError: 3`` in ``draw_map``."""
+        from repro.adversary import FuzzConfig, run_fuzz
+        from repro.adversary.specs import table1_battery
+        from repro.fault.campaign import DETECTED
+
+        report = run_fuzz(
+            table1_battery(),
+            runs=28,
+            config=FuzzConfig(seed=2017, fault_every=5),
+            workers=1,
+        )
+        assert len(report.rows) == 28
+        case = report.rows[24]
+        assert case.spec.label == "Grid3x4"
+        assert case.outcome == DETECTED
+        assert "out of discovery order" in case.detail

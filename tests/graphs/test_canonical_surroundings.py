@@ -9,7 +9,7 @@ from repro.errors import GraphError
 from repro.graphs import (
     Digraph,
     canonical_key,
-    canonical_node_order,
+    canonical_search,
     complete_graph,
     cycle_graph,
     digraphs_isomorphic,
@@ -22,8 +22,9 @@ from repro.graphs import (
     surrounding,
     surrounding_key,
 )
-from repro.graphs.canonical import canonical_encoding, digraph_refinement
+from repro.graphs.canonical import _encode_ordering, digraph_refinement
 from repro.graphs.surroundings import in_degree_zero_nodes
+from repro.perf import uncached
 
 
 def random_digraph(n, rng, color_count=2):
@@ -112,12 +113,14 @@ class TestCanonicalForm:
     def test_canonical_node_order_is_bijection(self):
         rng = random.Random(3)
         g = random_digraph(6, rng)
-        order = canonical_node_order(g)
+        encoding, order = canonical_search(g)
         assert sorted(order) == list(range(6))
+        assert _encode_ordering(g, order) == encoding  # the order attains it
 
     def test_canonical_encoding_deterministic(self):
         g = Digraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert canonical_encoding(g) == canonical_encoding(g)
+        with uncached():  # two real searches, not a memo hit
+            assert canonical_search(g) == canonical_search(g)
 
     def test_refinement_is_isomorphism_invariant(self):
         rng = random.Random(5)

@@ -2,19 +2,14 @@
 
 Fast tier-1 coverage of the backend surface: numpy-vs-worklist partition
 parity on one pointed instance per benchmark family, the selector's
-error/default/env contracts, the dense-limit delegation guard, and the
-surroundings fast path.  The exhaustive parity properties live in
+error contract and its size rule, the dense-limit delegation guard, and
+the surroundings fast path.  The exhaustive parity properties live in
 ``tests/graphs/test_refinement_parity.py``; this file is the cheap canary
 that runs on every CI job.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import repro
 from repro.errors import GraphError
 from repro.graphs.builders import cycle_graph, petersen_graph, random_connected_graph
 from repro.graphs.cayley import hypercube_cayley, torus_cayley
@@ -26,7 +21,6 @@ from repro.perf import (
     flat_network,
     refine_numpy,
     resolve_kernel,
-    set_default_kernel,
     uncached,
 )
 from repro.perf import kernel as kernel_mod
@@ -59,41 +53,46 @@ def test_numpy_matches_worklist_per_family(name, build):
 
 def test_selector_rejects_unknown_kernels():
     with pytest.raises(GraphError, match="unknown refinement kernel"):
-        resolve_kernel("cython")
-    with pytest.raises(GraphError, match="unknown refinement kernel"):
-        set_default_kernel("cython")
+        resolve_kernel("cython", 10, kernel_mod.DIGRAPH_NUMPY_MIN_NODES)
     with pytest.raises(GraphError, match="unknown refinement kernel"):
         view_refinement(cycle_graph(4), kernel="cython")
 
 
-def test_default_kernel_roundtrip():
-    previous = set_default_kernel("worklist")
-    try:
-        assert default_kernel() == "worklist"
-        assert resolve_kernel(None) == "worklist"
-        assert resolve_kernel("numpy") == "numpy"  # explicit beats default
-    finally:
-        set_default_kernel(previous)
-    assert default_kernel() == previous
+@pytest.mark.parametrize(
+    "crossover", ["DIGRAPH_NUMPY_MIN_NODES", "VIEW_NUMPY_MIN_NODES"]
+)
+def test_size_rule_picks_python_below_the_crossover(crossover):
+    """Without ``kernel=``, each function picks its backend by node count."""
+    limit = getattr(kernel_mod, crossover)
+    assert resolve_kernel(None, limit - 1, limit) == "worklist"
+    assert resolve_kernel(None, limit, limit) == "numpy"
+    for k in KERNELS:  # an explicit selector always wins
+        assert resolve_kernel(k, 1, limit) == k
+        assert resolve_kernel(k, 10 * limit, limit) == k
+    assert str(limit) in default_kernel()
 
 
-def test_env_variable_sets_process_default():
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, REPRO_REFINEMENT_KERNEL="worklist", PYTHONPATH=src_dir)
-    out = subprocess.run(
-        [sys.executable, "-c", "from repro.perf import default_kernel; print(default_kernel())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
+def test_size_rule_reaches_the_backends(monkeypatch):
+    """The defaulted calls really run the backend the rule names."""
+    calls = []
+    real = kernel_mod.refine_numpy
+    monkeypatch.setattr(
+        "repro.graphs.views.refine_numpy",
+        lambda *a: calls.append(1) or real(*a),
     )
-    assert out.stdout.strip() == "worklist"
+    small = cycle_graph(kernel_mod.VIEW_NUMPY_MIN_NODES - 1)
+    large = cycle_graph(kernel_mod.VIEW_NUMPY_MIN_NODES)
+    with uncached():
+        view_refinement(small, [1] + [0] * (small.num_nodes - 1))
+        assert calls == []
+        view_refinement(large, [1] + [0] * (large.num_nodes - 1))
+        assert calls == [1]
 
 
 def test_kernels_tuple_is_the_public_contract():
     assert KERNELS == ("numpy", "worklist", "baseline")
     for k in KERNELS:
-        assert resolve_kernel(k) == k
+        assert resolve_kernel(k, 10, kernel_mod.VIEW_NUMPY_MIN_NODES) == k
 
 
 def test_dense_limit_delegates_to_worklist(monkeypatch):
