@@ -49,20 +49,17 @@ def test_bench_fuzz_sweep_coverage(once):
     assert report.counts["silent-wrong-answer"] == 0
     assert report.distinct_schedules >= 250
     print(
-        f"\nfuzz sweep: {len(report.rows)} cases, "
+        f"\nfuzz sweep: {report.total_cases} cases, "
         f"{report.distinct_schedules} distinct interleavings "
         f"({report.duplicate_schedules} dedup hits)"
     )
 
 
 STREAM_CHILD = r"""
-import json, resource, sys
+import json, resource
 from repro.adversary.fuzz import FuzzConfig, run_fuzz
 
-stream = sys.argv[1] == "stream"
-report = run_fuzz(
-    runs=600, config=FuzzConfig(seed=2), quick=True, stream=stream
-)
+report = run_fuzz(runs=600, config=FuzzConfig(seed=2), quick=True)
 print(json.dumps({
     "rows": len(report.rows),
     "total": report.total_cases,
@@ -73,42 +70,35 @@ print(json.dumps({
 """
 
 
-def run_stream_vs_collect():
+def run_streamed_sweep():
     import json
     import os
     import subprocess
 
-    out = {}
-    for mode in ("stream", "collect"):
-        proc = subprocess.run(
-            [sys.executable, "-c", STREAM_CHILD, mode],
-            capture_output=True,
-            text=True,
-            env=os.environ.copy(),
-            check=True,
-        )
-        out[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
-    return out
+    proc = subprocess.run(
+        [sys.executable, "-c", STREAM_CHILD],
+        capture_output=True,
+        text=True,
+        env=os.environ.copy(),
+        check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_bench_streamed_sweep_max_rss(once):
-    """The memory contract of the streaming engine: a streamed sweep
-    retains no rows and its peak RSS stays flat (measured in a fresh
-    subprocess so other benchmarks' high-water marks don't pollute
-    ``ru_maxrss``)."""
-    out = once(run_stream_vs_collect)
-    stream, collect = out["stream"], out["collect"]
-    assert stream["ok"] and collect["ok"]
-    assert stream["total"] == collect["total"] == 600
-    assert stream["distinct"] == collect["distinct"]
-    assert collect["rows"] == 600
+    """The memory contract of the streaming engine: a sweep retains no
+    rows and its peak RSS stays flat (measured in a fresh subprocess so
+    other benchmarks' high-water marks don't pollute ``ru_maxrss``)."""
+    stream = once(run_streamed_sweep)
+    assert stream["ok"]
+    assert stream["total"] == 600
+    assert 0 < stream["distinct"] <= stream["total"]
     assert stream["rows"] == 0  # only failures are retained, and there are none
     peak_mib = stream["peak_kib"] / 1024.0
     assert peak_mib < 256.0, f"streamed sweep peaked at {peak_mib:.0f} MiB"
-    assert stream["peak_kib"] <= collect["peak_kib"] * 1.10
     print(
-        f"\nstreamed sweep peak RSS {peak_mib:.0f} MiB "
-        f"(collect mode: {collect['peak_kib'] / 1024.0:.0f} MiB)"
+        f"\nstreamed sweep peak RSS {peak_mib:.0f} MiB, "
+        f"{stream['distinct']} distinct interleavings"
     )
 
 
@@ -121,7 +111,7 @@ def test_bench_regression_hunt_and_minimize(once):
     best = min(results, key=lambda r: r.minimized_len)
     print(
         f"\nregression hunt: {len(report.failures)} failures in "
-        f"{len(report.rows)} cases; best reproducer "
+        f"{report.total_cases} cases; best reproducer "
         f"{best.minimized_len}/{best.original_len} pins "
         f"({100 * best.reduction:.1f}%)"
     )

@@ -1,10 +1,12 @@
 """Perf — refinement backend sweep: numpy kernel vs worklist vs seed baseline.
 
-Sweeps cycles, hypercubes and tori through the **public** entry
-``view_refinement(network, colors, kernel=...)`` for every backend the
-selector knows (``numpy`` / ``worklist`` / ``baseline``), up to n ≈ 2000
-for the three-way comparison and up to n ≈ 50 000 for the flat-array
-kernel alone (the Python backends would take minutes there).
+Sweeps cycles, hypercubes and tori through every view-refinement backend,
+each called directly (``refine_numpy`` / ``_refine_worklist`` /
+``view_refinement_baseline``), up to n ≈ 2000 for the three-way
+comparison and up to n ≈ 50 000 for the flat-array kernel alone (the
+Python backends would take minutes there).  The benchmarked call is the
+public ``view_refinement(network, colors)``, which the size rule runs on
+the numpy kernel at every size swept here.
 
 Every instance uses a *pointed* coloring (one distinguished node): the
 uniform coloring of a vertex-transitive graph is a refinement fixpoint
@@ -12,11 +14,10 @@ after a single round for every backend, so the pointed case is the one
 that exercises the splitter/accelerator machinery — it drives the seed
 baseline to its Norris-bound worst case (Θ(diameter) full rounds).  Each
 timing rep points a *different* node — the families are vertex-transitive,
-so the instances are isomorphic (identical cost) but distinct memo keys,
-which keeps the per-``(backend, coloring)`` cache from short-circuiting
-repeated reps while the per-network flat buffers stay warm (their build is
-amortized across every query on the network, so it is warmed up front
-exactly like the worklist's adjacency tables).
+so the instances are isomorphic (identical cost) — while the per-network
+flat buffers stay warm (their build is amortized across every query on
+the network, so it is warmed up front exactly like the worklist's
+adjacency tables).
 
 Asserts all timed backends induce the same partition, that the worklist
 beats the seed baseline by ≥ 3× wherever the baseline is timed, and that
@@ -31,12 +32,27 @@ import pytest
 
 from repro.graphs.builders import cycle_graph
 from repro.graphs.cayley import hypercube_cayley, torus_cayley
-from repro.graphs.views import refinement_adjacency, view_refinement
-from repro.perf import KERNELS, flat_network, invalidate
+from repro.graphs.views import (
+    _normalize_colors,
+    _refine_worklist,
+    refinement_adjacency,
+    view_refinement,
+    view_refinement_baseline,
+)
+from repro.perf import flat_network, invalidate, refine_numpy
+
+#: Every backend, as ``(network, colors) -> class ids``.
+BACKENDS = {
+    "numpy": lambda net, colors: refine_numpy(net, _normalize_colors(net, colors)),
+    "worklist": lambda net, colors: _refine_worklist(
+        net, _normalize_colors(net, colors)
+    ),
+    "baseline": view_refinement_baseline,
+}
 
 #: (family, display size, constructor, backends to time).  The three-way
 #: rows stop at n ≈ 2000; the large rows are numpy-only.
-FULL = tuple(KERNELS)  # ("numpy", "worklist", "baseline")
+FULL = tuple(BACKENDS)  # ("numpy", "worklist", "baseline")
 SWEEP = [
     ("cycle", 500, lambda: cycle_graph(500), FULL),
     ("cycle", 2000, lambda: cycle_graph(2000), FULL),
@@ -82,8 +98,7 @@ def _time_backend(net, backend, reps):
     """Best-of-``reps`` seconds; returns (ids of the node-0 instance, best).
 
     Rep ``k`` points node ``k`` — an isomorphic instance on these
-    vertex-transitive families, but a fresh memo key, so every rep is a
-    real refinement run.
+    vertex-transitive families.
     """
     n = net.num_nodes
     best = float("inf")
@@ -91,7 +106,7 @@ def _time_backend(net, backend, reps):
     for k in range(reps):
         colors = _pointed(n, k)
         start = time.perf_counter()
-        ids = view_refinement(net, colors, kernel=backend)
+        ids = BACKENDS[backend](net, colors)
         best = min(best, time.perf_counter() - start)
         if k == 0:
             ids0 = ids
@@ -126,7 +141,6 @@ def test_bench_refinement_scaling(benchmark, family, size, build, backends):
     numpy_ids = benchmark.pedantic(
         view_refinement,
         args=(net, _pointed(size, size - 1)),
-        kwargs={"kernel": "numpy"},
         rounds=1,
         iterations=1,
     )

@@ -60,7 +60,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         workers=args.workers,
         quick=args.quick,
         ledger=args.ledger,
-        stream=args.stream,
         shard=args.shard,
         resume=args.resume,
         max_cases=args.max_cases,
@@ -172,13 +171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="append one run-ledger row per case to this SQLite database "
         "(see python -m repro.obs ledger)",
-    )
-    fuzz.add_argument(
-        "--stream",
-        action="store_true",
-        help="streaming report: retain only failing rows (their recorded "
-        "choices still feed --artifacts); counts come from the campaign "
-        "engine's checkpointed counters",
     )
     fuzz.add_argument(
         "--shard",

@@ -37,25 +37,23 @@ import hashlib
 import json
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.engine import (
-    CampaignEngine,
     CampaignSpec,
     FailureKeeper,
     MetricsStage,
     OutcomeCounter,
-    RowCollector,
-    Shard,
     SignatureDedup,
     Stage,
+    run_spec,
 )
 from ..core.elect import ElectAgent
 from ..core.feasibility import elect_prediction
 from ..errors import AdversaryError, ReproError
 from ..obs import flight
-from ..obs.ledger import LedgerRow, RunLedger, open_ledger
+from ..obs.ledger import LedgerRow
 from ..fault.campaign import (
     DETECTED,
     IMPOSSIBLE,
@@ -165,12 +163,12 @@ class FuzzRow:
 
 @dataclass
 class FuzzReport:
-    """All rows of one fuzz sweep plus the coverage counters.
+    """The coverage counters of one fuzz sweep plus its failing rows.
 
-    Like :class:`repro.fault.campaign.CampaignReport`, this has a legacy
-    (collect) shape holding every row and a streaming shape holding only
-    the failing rows, with the headline numbers carried by the engine's
-    checkpointed counters in the ``streamed_*`` fields.
+    Like :class:`repro.fault.campaign.CampaignReport`: the counts and the
+    distinct-schedule total come from the engine's checkpointed stages,
+    and ``rows`` holds only the failing rows (with their recorded
+    choices, the input of :mod:`repro.adversary.minimize`).
     """
 
     rows: List[FuzzRow]
@@ -178,43 +176,24 @@ class FuzzReport:
     #: The sweep's agent kwargs — recorded so ``minimize`` can rebuild the
     #: exact failing configuration from the JSON report alone.
     agent_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    #: Streaming mode: outcome histogram from the engine (``None``: legacy).
-    streamed_counts: Optional[Dict[str, int]] = None
-    #: Streaming mode: total cases observed (resumed + evaluated).
-    streamed_total: Optional[int] = None
-    #: Streaming mode: distinct schedule signatures seen.
-    streamed_distinct: Optional[int] = None
-
-    @property
-    def streamed(self) -> bool:
-        return self.streamed_counts is not None
-
-    @property
-    def total_cases(self) -> int:
-        if self.streamed_total is not None:
-            return self.streamed_total
-        return len(self.rows)
+    #: Cases observed (resumed + evaluated).
+    total_cases: int = 0
+    #: Outcome histogram from the engine's outcome counter.
+    outcome_counts: Dict[str, int] = field(default_factory=dict)
+    #: Distinct schedule signatures seen.
+    distinct_schedules: int = 0
 
     @property
     def counts(self) -> Dict[str, int]:
         out = {name: 0 for name in OUTCOMES}
-        if self.streamed_counts is not None:
-            for name, n in self.streamed_counts.items():
-                out[name] = out.get(name, 0) + int(n)
-            return out
-        for row in self.rows:
-            out[row.outcome] = out.get(row.outcome, 0) + 1
+        for name, n in self.outcome_counts.items():
+            out[name] = out.get(name, 0) + int(n)
         return out
 
     @property
     def failures(self) -> List[FuzzRow]:
-        return [r for r in self.rows if r.failed]
-
-    @property
-    def distinct_schedules(self) -> int:
-        if self.streamed_distinct is not None:
-            return self.streamed_distinct
-        return sum(1 for r in self.rows if r.distinct)
+        """The failing rows (the only rows a report keeps)."""
+        return self.rows
 
     @property
     def duplicate_schedules(self) -> int:
@@ -223,12 +202,8 @@ class FuzzReport:
     @property
     def ok(self) -> bool:
         """The sweep's verdict: no silent wrong answer, no schedule bug."""
-        if self.streamed:
-            counts = self.counts
-            return (
-                counts.get(FAILED, 0) == 0 and counts.get(IMPOSSIBLE, 0) == 0
-            )
-        return not self.failures
+        counts = self.counts
+        return counts.get(FAILED, 0) == 0 and counts.get(IMPOSSIBLE, 0) == 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -246,10 +221,8 @@ class FuzzReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
-        mode = " [streamed]" if self.streamed else ""
         lines = [
-            f"interleaving fuzz: {self.total_cases} cases, "
-            f"seed={self.seed}{mode}"
+            f"interleaving fuzz: {self.total_cases} cases, seed={self.seed}"
         ]
         counts = self.counts
         for name in OUTCOMES:
@@ -278,70 +251,6 @@ def _case_context(
     """The case's flight trace context — deterministic like the case seed,
     so ledger trace ids survive worker-count changes."""
     return flight.TraceContext.mint("fuzz-case", f"{seed}:{index}:{label}:{kind}")
-
-
-def write_fuzz_ledger(
-    ledger: Any,
-    report: "FuzzReport",
-    tasks: Sequence[
-        Tuple[int, InstanceSpec, Dict[str, Any], Optional[FaultPlan], FuzzConfig]
-    ],
-    elapsed: float = 0.0,
-) -> int:
-    """Append one ``kind="fuzz"`` ledger row per fuzz case.
-
-    Mirrors :func:`repro.fault.campaign.write_campaign_ledger`: every
-    column but ``wall_ms`` is deterministic in the sweep config, so
-    ledger digests are worker-count independent.  Returns the number of
-    rows written.
-    """
-    from ..graphs.canonical import canonical_hash
-    from ..trace.invariants import THEOREM31_CONSTANT
-
-    led = open_ledger(ledger)
-    campaign = f"fuzz:seed={report.seed}:runs={len(tasks)}"
-    wall_each = (elapsed / len(tasks) * 1000.0) if tasks else 0.0
-    cache: Dict[str, Tuple[str, float]] = {}  # label -> (chash, budget)
-    rows: List[LedgerRow] = []
-    for row, (index, spec, sched_spec, _plan, cfg) in zip(report.rows, tasks):
-        cached = cache.get(spec.label)
-        if cached is None:
-            network, placement = spec.build()
-            chash = canonical_hash(network, placement.bicoloring(network))
-            budget = (
-                THEOREM31_CONSTANT
-                * placement.num_agents
-                * max(1, network.num_edges)
-            )
-            cached = (chash, budget)
-            cache[spec.label] = cached
-        chash, budget = cached
-        kind = str(sched_spec.get("kind"))
-        ctx = _case_context(cfg.seed, index, spec.label, kind)
-        rows.append(
-            LedgerRow(
-                kind="fuzz",
-                campaign=campaign,
-                case_index=row.index,
-                instance=spec.label,
-                family=kind,
-                chash=chash,
-                seed=row.case_seed,
-                predicted="electable" if row.predicted else "impossible",
-                outcome=row.outcome,
-                detail=row.detail,
-                moves=row.moves,
-                budget=budget,
-                steps=row.steps,
-                wall_ms=round(wall_each, 3),
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-            )
-        )
-    written = led.append(rows)
-    if not isinstance(ledger, RunLedger):
-        led.close()
-    return written
 
 
 def failure_signature(exc: BaseException) -> str:
@@ -463,7 +372,6 @@ class FuzzCampaignSpec(CampaignSpec):
         runs: int = 200,
         config: Optional[FuzzConfig] = None,
         quick: bool = False,
-        collect: bool = False,
     ):
         self.config = config or FuzzConfig()
         if instances is None:
@@ -483,9 +391,6 @@ class FuzzCampaignSpec(CampaignSpec):
         self.counter = OutcomeCounter()
         self.dedup = SignatureDedup(attr="signature", flag="distinct")
         self.failures = FailureKeeper(self.case_failed)
-        self.collector: Optional[RowCollector] = (
-            RowCollector() if collect else None
-        )
 
     @property
     def total(self) -> int:
@@ -574,15 +479,12 @@ class FuzzCampaignSpec(CampaignSpec):
         return row.failed
 
     def stages(self) -> Sequence[Stage]:
-        stages: List[Stage] = [
+        return (
             self.counter,
             self.dedup,  # must precede metrics: it sets row.distinct
             MetricsStage(self._count),
             self.failures,
-        ]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+        )
 
     @staticmethod
     def _count(row: FuzzRow) -> None:
@@ -613,7 +515,7 @@ def run_fuzz(
     workers: Optional[int] = 1,
     quick: bool = False,
     ledger: Optional[Any] = None,
-    stream: bool = False,
+    stream: bool = True,
     shard: Optional[Any] = None,
     resume: bool = False,
     checkpoint_every: int = 64,
@@ -624,17 +526,16 @@ def run_fuzz(
 
     Deterministic in ``(instances, runs, config)`` — worker count only
     changes wall-clock time (the battery runner preserves input order and
-    every seed derives per case).  The sweep runs on the
-    :class:`~repro.campaign.CampaignEngine`:
-
-    * ``stream=False`` (default) keeps the legacy full-report shape;
-    * ``stream=True`` retains only failing rows (with their recorded
-      choices, so :mod:`repro.adversary.minimize` still has its input)
-      while counts and schedule coverage come from checkpointed stage
-      counters — flat memory at any ``runs``;
-    * ``shard`` / ``resume`` / ``checkpoint_every`` / ``max_cases`` /
-      ``spill`` pass straight to the engine (``shard`` accepts a
-      :class:`~repro.campaign.Shard` or an ``"i/N"`` string).
+    every seed derives per case).  The sweep streams through the
+    :class:`~repro.campaign.CampaignEngine`: the report retains only
+    failing rows (with their recorded choices, so
+    :mod:`repro.adversary.minimize` still has its input) while counts and
+    schedule coverage come from checkpointed stage counters — flat memory
+    at any ``runs``.  ``shard`` / ``resume`` / ``checkpoint_every`` /
+    ``max_cases`` / ``spill`` pass straight to the engine (``shard``
+    accepts a :class:`~repro.campaign.Shard` or an ``"i/N"`` string).
+    ``stream`` is accepted for existing callers and must be ``True``:
+    streaming is the only mode.
 
     ``ledger`` (a :class:`~repro.obs.ledger.RunLedger` or a path) appends
     one row per case, committed chunk-atomically with the shard's resume
@@ -642,40 +543,29 @@ def run_fuzz(
     its own deterministic trace context and ships its spans back to the
     sweep's recorder.
     """
+    if stream is not True:
+        raise TypeError(
+            f"run_fuzz streams only; stream must be True, got {stream!r}"
+        )
     cfg = config or FuzzConfig()
     spec = FuzzCampaignSpec(
-        instances=instances,
-        runs=runs,
-        config=cfg,
-        quick=quick,
-        collect=not stream,
+        instances=instances, runs=runs, config=cfg, quick=quick
     )
-    if shard is None:
-        shard = Shard()
-    elif not isinstance(shard, Shard):
-        shard = Shard.parse(shard)
-    engine = CampaignEngine(
+    result = run_spec(
         spec,
         ledger=ledger,
         workers=workers,
         shard=shard,
+        resume=resume,
         checkpoint_every=checkpoint_every,
         max_cases=max_cases,
         spill=spill,
     )
-    result = engine.run(resume=resume)
-    if stream:
-        return FuzzReport(
-            rows=list(spec.failures.kept),
-            seed=cfg.seed,
-            agent_kwargs=cfg.agent_kwargs,
-            streamed_counts=dict(result.counts),
-            streamed_total=result.resumed + result.processed,
-            streamed_distinct=spec.dedup.distinct,
-        )
-    assert spec.collector is not None
     return FuzzReport(
-        rows=list(spec.collector.rows),
+        rows=list(spec.failures.kept),
         seed=cfg.seed,
         agent_kwargs=cfg.agent_kwargs,
+        total_cases=result.resumed + result.processed,
+        outcome_counts=dict(result.counts),
+        distinct_schedules=spec.dedup.distinct,
     )

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..campaign.engine import (
-    CampaignEngine,
     CampaignRunResult,
     CampaignSpec,
     FailureKeeper,
     OutcomeCounter,
-    RowCollector,
-    Shard,
     Stage,
+    run_spec,
 )
 from ..core.feasibility import elect_prediction
 from ..errors import ReproError
@@ -141,7 +139,6 @@ class BatteryCampaignSpec(CampaignSpec):
         repetitions: int = 1,
         seed: int = 0,
         instances: Optional[Sequence[Instance]] = None,
-        collect: bool = False,
     ):
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -157,9 +154,6 @@ class BatteryCampaignSpec(CampaignSpec):
         self._chash_cache: Dict[str, Tuple[str, float]] = {}
         self.counter = OutcomeCounter()
         self.failures = FailureKeeper(self.case_failed)
-        self.collector: Optional[RowCollector] = (
-            RowCollector() if collect else None
-        )
 
     @property
     def total(self) -> int:
@@ -225,10 +219,7 @@ class BatteryCampaignSpec(CampaignSpec):
         return row.outcome != ELECTED
 
     def stages(self) -> Sequence[Stage]:
-        stages: List[Stage] = [self.counter, self.failures]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+        return (self.counter, self.failures)
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -266,17 +257,13 @@ def run_battery_campaign(
         seed=seed,
         instances=instances,
     )
-    if shard is None:
-        shard = Shard()
-    elif not isinstance(shard, Shard):
-        shard = Shard.parse(shard)
-    engine = CampaignEngine(
+    return run_spec(
         spec,
         ledger=ledger,
         workers=workers,
         shard=shard,
+        resume=resume,
         checkpoint_every=checkpoint_every,
         max_cases=max_cases,
         spill=spill,
     )
-    return engine.run(resume=resume)

@@ -14,13 +14,14 @@ from .engine import (
     CampaignRunResult,
     CampaignSpec,
     FailureKeeper,
+    MetricsStage,
     OutcomeCounter,
     PredicateCounter,
-    RowCollector,
     Shard,
     SignatureDedup,
     Stage,
     read_spill,
+    run_spec,
 )
 
 __all__ = [
@@ -31,9 +32,9 @@ __all__ = [
     "MetricsStage",
     "OutcomeCounter",
     "PredicateCounter",
-    "RowCollector",
     "Shard",
     "SignatureDedup",
     "Stage",
     "read_spill",
+    "run_spec",
 ]

@@ -32,7 +32,7 @@ from typing import Any, List, Optional
 
 from ..errors import CampaignError, ReproError
 from ..obs.ledger import RunLedger
-from .engine import CampaignEngine, CampaignSpec, Shard
+from .engine import CampaignSpec, run_spec
 
 #: The frontends ``run`` can drive, by name.
 FRONTENDS = ("fault", "fuzz", "battery", "byzantine")
@@ -52,7 +52,7 @@ def _parse_powers(text: str) -> tuple:
 
 
 def _build_spec(args: argparse.Namespace) -> CampaignSpec:
-    """Build the chosen frontend's spec (streaming shape: no collector)."""
+    """Build the chosen frontend's spec."""
     if args.frontend == "fault":
         from ..fault.campaign import CampaignConfig, FaultCampaignSpec
 
@@ -95,17 +95,16 @@ def _build_spec(args: argparse.Namespace) -> CampaignSpec:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
-    engine = CampaignEngine(
-        spec,
+    result = run_spec(
+        _build_spec(args),
         ledger=args.ledger,
         workers=args.workers,
-        shard=Shard.parse(args.shard),
+        shard=args.shard,
+        resume=args.resume,
         checkpoint_every=args.checkpoint_every,
         max_cases=args.max_cases,
         spill=args.spill,
     )
-    result = engine.run(resume=args.resume)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:

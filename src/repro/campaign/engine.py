@@ -52,7 +52,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, IO, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, IO, Iterator, List, Optional, Sequence
 
 from ..errors import CampaignError
 from ..obs import flight
@@ -72,11 +72,11 @@ __all__ = [
     "MetricsStage",
     "OutcomeCounter",
     "PredicateCounter",
-    "RowCollector",
     "Shard",
     "SignatureDedup",
     "Stage",
     "read_spill",
+    "run_spec",
 ]
 
 
@@ -130,17 +130,18 @@ class OutcomeCounter(Stage):
 
 
 class PredicateCounter(Stage):
-    """Streamed count of results satisfying a predicate (e.g. audit
-    failures), checkpointed so resumed totals stay exact."""
+    """Streamed sum of ``int(predicate(result))``, checkpointed so resumed
+    totals stay exact.  A boolean predicate counts matching results (e.g.
+    audit failures); an integer one sums a per-result quantity (e.g.
+    watchdog restarts)."""
 
-    def __init__(self, name: str, predicate: Callable[[Any], bool]):
+    def __init__(self, name: str, predicate: Callable[[Any], Any]):
         self.name = name
         self.predicate = predicate
         self.count = 0
 
     def observe(self, index: int, result: Any) -> None:
-        if self.predicate(result):
-            self.count += 1
+        self.count += int(self.predicate(result))
 
     def state_dict(self) -> Dict[str, Any]:
         return {"count": self.count}
@@ -212,20 +213,6 @@ class FailureKeeper(Stage):
                 self.kept.append(result)
             else:
                 self.dropped += 1
-
-
-class RowCollector(Stage):
-    """Retain every result (legacy in-memory report mode).  Deliberately
-    NOT checkpoint-persisted: collecting defeats streaming, so resumable
-    runs should use :class:`FailureKeeper` + the ledger instead."""
-
-    name = "collect"
-
-    def __init__(self) -> None:
-        self.rows: List[Any] = []
-
-    def observe(self, index: int, result: Any) -> None:
-        self.rows.append(result)
 
 
 class MetricsStage(Stage):
@@ -665,6 +652,14 @@ class CampaignEngine:
         for stage in stages:
             if stage.name in checkpoint.state:
                 stage.load_state(checkpoint.state[stage.name])
+            elif stage.state_dict() is not None:
+                # Resuming without it would silently restart the stage's
+                # totals from zero and under-report the whole sweep.
+                raise CampaignError(
+                    f"checkpoint for campaign {self.spec.campaign!r} shard "
+                    f"{self.shard} holds no state for stage {stage.name!r}; "
+                    "refusing to resume with its totals reset"
+                )
         return checkpoint.done
 
     def _chunks(
@@ -689,6 +684,37 @@ class CampaignEngine:
         results = runner.map(spec.evaluate, tasks)
         self._last_chunk_wall = time.perf_counter() - started
         return results
+
+
+def run_spec(
+    spec: CampaignSpec,
+    ledger: Optional[Any] = None,
+    workers: Optional[int] = 1,
+    shard: Optional[Any] = None,
+    resume: bool = False,
+    checkpoint_every: int = 64,
+    max_cases: Optional[int] = None,
+    spill: Optional[str] = None,
+) -> CampaignRunResult:
+    """Run one shard of ``spec`` on a fresh :class:`CampaignEngine`.
+
+    The call every frontend makes; ``shard`` is a :class:`Shard`, an
+    ``"i/N"`` string, or ``None`` for the whole grid.
+    """
+    if shard is None:
+        shard = Shard()
+    elif not isinstance(shard, Shard):
+        shard = Shard.parse(shard)
+    engine = CampaignEngine(
+        spec,
+        ledger=ledger,
+        workers=workers,
+        shard=shard,
+        checkpoint_every=checkpoint_every,
+        max_cases=max_cases,
+        spill=spill,
+    )
+    return engine.run(resume=resume)
 
 
 def read_spill(path: str) -> List[Dict[str, Any]]:

@@ -1,7 +1,8 @@
 """Command-line fault campaign: ``python -m repro.fault``.
 
 Sweeps the fault matrix across the standard instance battery, prints the
-classification counts, optionally writes the full JSON report, and exits
+classification counts, optionally writes the JSON report (counts, totals
+and the failing rows), and exits
 non-zero if any pair lands in the ``silent-wrong-answer`` bucket (or fails
 its structural trace audit) — the CI contract of the robustness suite.
 """
@@ -71,7 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out",
         type=str,
         default=None,
-        help="write the full JSON report to this path",
+        help="write the JSON report (counts, totals, failing rows) here",
     )
     parser.add_argument(
         "--ledger",
@@ -79,12 +80,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="append one run-ledger row per (instance, plan) pair to this "
         "SQLite database (see python -m repro.obs ledger)",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="streaming report: retain only failing rows; counts come "
-        "from the campaign engine's checkpointed counters",
     )
     parser.add_argument(
         "--shard",
@@ -120,7 +115,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             workers=args.workers,
             quick=args.quick,
             ledger=args.ledger,
-            stream=args.stream,
             shard=args.shard,
             resume=args.resume,
             max_cases=args.max_cases,

@@ -13,8 +13,7 @@ Two design points that matter for recovery:
 
 * the dead wait is **re-yielded forever** — a spurious wake-up (a board
   change that happens to satisfy some predicate) can never resurrect a
-  crashed agent through the unreachable-code path the old
-  ``sim.faults.CrashAfter`` had;
+  crashed agent, nor reach an unreachable-code assertion;
 * the crash fires **once** (``crashed`` is a consumed flag) — when the
   watchdog restarts the agent from its home-base checkpoint, the fresh
   ``protocol()`` generator runs the inner protocol clean, which is exactly

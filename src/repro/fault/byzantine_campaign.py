@@ -30,21 +30,18 @@ detected-vs-fooled table survives kill/resume exactly.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.engine import (
-    CampaignEngine,
     CampaignSpec,
     FailureKeeper,
     MetricsStage,
     OutcomeCounter,
     PredicateCounter,
-    RowCollector,
-    Shard,
     Stage,
+    run_spec,
 )
 from ..core.elect import ElectAgent
 from ..core.feasibility import elect_prediction
@@ -332,18 +329,10 @@ class PowerRateStage(Stage):
 class ByzantineReport(CampaignReport):
     """Fault-campaign report plus the per-power detected-vs-fooled table."""
 
-    power_counts: Optional[Dict[str, int]] = None
+    OUTCOME_NAMES: ClassVar[Tuple[str, ...]] = BYZ_OUTCOMES
 
-    @property
-    def counts(self) -> Dict[str, int]:
-        out = {name: 0 for name in BYZ_OUTCOMES}
-        if self.streamed_counts is not None:
-            for name, n in self.streamed_counts.items():
-                out[name] = out.get(name, 0) + int(n)
-            return out
-        for row in self.rows:
-            out[row.outcome] = out.get(row.outcome, 0) + 1
-        return out
+    #: ``p<k>:<outcome>`` histogram from the checkpointed power stage.
+    power_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def fooled_rows(self) -> List[CampaignRow]:
@@ -353,25 +342,12 @@ class ByzantineReport(CampaignReport):
     def ok(self) -> bool:
         """Campaign verdict: the crash-era criteria *plus* no power-0 case
         in the fooled bucket (an honest sweep can't be silently fooled)."""
-        if not super().ok:
-            return False
-        if self.power_counts is not None:
-            return self.power_counts.get(f"p0:{FOOLED}", 0) == 0
-        return not any(
-            getattr(r, "power", 0) == 0 and r.outcome == FOOLED
-            for r in self.rows
-        )
+        return super().ok and self.power_counts.get(f"p0:{FOOLED}", 0) == 0
 
     def power_table(self) -> Dict[int, Dict[str, int]]:
         from ..analysis.robustness import power_outcome_table
 
-        counts = self.power_counts
-        if counts is None:
-            counts = {}
-            for row in self.rows:
-                key = f"p{getattr(row, 'power', 0)}:{row.outcome}"
-                counts[key] = counts.get(key, 0) + 1
-        return power_outcome_table(counts)
+        return power_outcome_table(self.power_counts)
 
     def to_dict(self) -> Dict[str, Any]:
         from ..analysis.robustness import detection_rates
@@ -386,16 +362,11 @@ class ByzantineReport(CampaignReport):
         }
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     def render(self) -> str:
         from ..analysis.robustness import render_detection_table
 
-        mode = " [streamed]" if self.streamed else ""
         lines = [
-            f"byzantine campaign: {self.total_pairs} cases, "
-            f"seed={self.seed}{mode}"
+            f"byzantine campaign: {self.total_pairs} cases, seed={self.seed}"
         ]
         counts = self.counts
         for name in BYZ_OUTCOMES:
@@ -430,7 +401,6 @@ class ByzantineCampaignSpec(CampaignSpec):
         powers: Tuple[int, ...] = (0, 1, 2, 3),
         config: Optional[ByzantineConfig] = None,
         quick: bool = False,
-        collect: bool = False,
     ):
         self.config = config or ByzantineConfig()
         if instances is None:
@@ -455,10 +425,11 @@ class ByzantineCampaignSpec(CampaignSpec):
         self.audit_counter = PredicateCounter(
             "audit-failures", lambda row: bool(row.audit_failures)
         )
-        self.failures = FailureKeeper(self.case_failed)
-        self.collector: Optional[RowCollector] = (
-            RowCollector() if collect else None
+        self.restart_counter = PredicateCounter(
+            "restarts", lambda row: row.restarts
         )
+        self.stall_counter = PredicateCounter("stalls", lambda row: row.stalls)
+        self.failures = FailureKeeper(self.case_failed)
 
     @property
     def total(self) -> int:
@@ -583,16 +554,15 @@ class ByzantineCampaignSpec(CampaignSpec):
         return bool(row.audit_failures)
 
     def stages(self) -> Sequence[Stage]:
-        stages: List[Stage] = [
+        return (
             self.counter,
             self.power_rates,
             self.audit_counter,
+            self.restart_counter,
+            self.stall_counter,
             MetricsStage(lambda row: count_outcome(row.outcome)),
             self.failures,
-        ]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+        )
 
     def summarize(self, stages: Sequence[Stage]) -> Dict[str, Any]:
         from ..analysis.robustness import detection_rates, power_outcome_table
@@ -646,7 +616,6 @@ def run_byzantine_campaign(
     workers: Optional[int] = 1,
     quick: bool = False,
     ledger: Optional[Any] = None,
-    stream: bool = False,
     shard: Optional[Any] = None,
     resume: bool = False,
     checkpoint_every: int = 64,
@@ -657,7 +626,10 @@ def run_byzantine_campaign(
 
     Deterministic in ``(instances, cases, powers, config)``: worker count
     and sharding change only wall-clock time, never the merged ledger
-    digest — the engine contract the fault campaign already honors.
+    digest — the engine contract the fault campaign already honors.  Like
+    :func:`~repro.fault.campaign.run_campaign`, the report keeps only the
+    failing rows; counts and the per-power table come from checkpointed
+    stages.
     """
     cfg = config or ByzantineConfig()
     spec = ByzantineCampaignSpec(
@@ -666,34 +638,24 @@ def run_byzantine_campaign(
         powers=powers,
         config=cfg,
         quick=quick,
-        collect=not stream,
     )
-    if shard is None:
-        shard = Shard()
-    elif not isinstance(shard, Shard):
-        shard = Shard.parse(shard)
-    engine = CampaignEngine(
+    result = run_spec(
         spec,
         ledger=ledger,
         workers=workers,
         shard=shard,
+        resume=resume,
         checkpoint_every=checkpoint_every,
         max_cases=max_cases,
         spill=spill,
     )
-    result = engine.run(resume=resume)
-    if stream:
-        return ByzantineReport(
-            rows=list(spec.failures.kept),
-            seed=cfg.seed,
-            streamed_counts=dict(result.counts),
-            streamed_total=result.resumed + result.processed,
-            streamed_audit_failures=spec.audit_counter.count,
-            power_counts=dict(spec.power_rates.counts),
-        )
-    assert spec.collector is not None
     return ByzantineReport(
-        rows=list(spec.collector.rows),
+        rows=list(spec.failures.kept),
         seed=cfg.seed,
+        total_pairs=result.resumed + result.processed,
+        outcome_counts=dict(result.counts),
+        restarts=spec.restart_counter.count,
+        stalls=spec.stall_counter.count,
+        audit_failure_count=spec.audit_counter.count,
         power_counts=dict(spec.power_rates.counts),
     )

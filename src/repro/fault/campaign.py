@@ -38,26 +38,24 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.engine import (
-    CampaignEngine,
     CampaignSpec,
     FailureKeeper,
     MetricsStage,
     OutcomeCounter,
     PredicateCounter,
-    RowCollector,
-    Shard,
     Stage,
+    run_spec,
 )
 from ..core.elect import ElectAgent
 from ..core.feasibility import elect_prediction
 from ..core.result import aggregate
 from ..errors import ProtocolError, ReproError
 from ..obs import flight
-from ..obs.ledger import LedgerRow, RunLedger, open_ledger
+from ..obs.ledger import LedgerRow
 from ..sim.runtime import Simulation
 from ..sim.scheduler import RandomScheduler
 from ..trace.invariants import THEOREM31_CONSTANT, audit_trace
@@ -148,45 +146,37 @@ class CampaignRow:
 
 @dataclass
 class CampaignReport:
-    """All rows of one campaign plus the headline counts.
+    """The headline numbers of one campaign plus its failing rows.
 
-    Two shapes share this class.  Legacy (collect) mode holds every row
-    and derives the counts from them.  Streaming mode holds only the
-    *failing* rows (the minimizer/report material) while the headline
-    numbers come from the engine's checkpointed stage counters — the
-    ``streamed_*`` fields — so a million-pair sweep's report stays O(1)
-    in memory and survives kill/resume with exact totals.
+    Every number comes from the engine's checkpointed stage counters, so
+    it covers each pair the sweep ever committed (resumed ones included)
+    while the report stays O(1) in memory for any ``pairs``.  ``rows``
+    holds only the *failing* rows the engine's
+    :class:`~repro.campaign.engine.FailureKeeper` retained — the material
+    the render, the minimizer and the reproducers work from.
     """
+
+    #: Outcome vocabulary every :attr:`counts` key is pre-filled from.
+    OUTCOME_NAMES: ClassVar[Tuple[str, ...]] = OUTCOMES
 
     rows: List[CampaignRow]
     seed: int
-    #: Streaming mode: outcome histogram from the engine's
-    #: :class:`~repro.campaign.engine.OutcomeCounter` (``None``: legacy).
-    streamed_counts: Optional[Dict[str, int]] = None
-    #: Streaming mode: total pairs observed (resumed + evaluated).
-    streamed_total: Optional[int] = None
-    #: Streaming mode: pairs with structural audit failures.
-    streamed_audit_failures: int = 0
-
-    @property
-    def streamed(self) -> bool:
-        return self.streamed_counts is not None
-
-    @property
-    def total_pairs(self) -> int:
-        if self.streamed_total is not None:
-            return self.streamed_total
-        return len(self.rows)
+    #: Pairs observed (resumed + evaluated).
+    total_pairs: int = 0
+    #: Outcome histogram from the engine's outcome counter.
+    outcome_counts: Dict[str, int] = field(default_factory=dict)
+    #: Watchdog checkpoint restarts summed over every pair.
+    restarts: int = 0
+    #: Watchdog stall events summed over every pair.
+    stalls: int = 0
+    #: Pairs whose structural trace audit failed.
+    audit_failure_count: int = 0
 
     @property
     def counts(self) -> Dict[str, int]:
-        out = {name: 0 for name in OUTCOMES}
-        if self.streamed_counts is not None:
-            for name, n in self.streamed_counts.items():
-                out[name] = out.get(name, 0) + int(n)
-            return out
-        for row in self.rows:
-            out[row.outcome] = out.get(row.outcome, 0) + 1
+        out = {name: 0 for name in self.OUTCOME_NAMES}
+        for name, n in self.outcome_counts.items():
+            out[name] = out.get(name, 0) + int(n)
         return out
 
     @property
@@ -200,16 +190,11 @@ class CampaignReport:
     @property
     def ok(self) -> bool:
         """The campaign's verdict: no silent wrong answer, clean audits."""
-        if self.streamed:
-            return (
-                self.counts.get(IMPOSSIBLE, 0) == 0
-                and self.counts.get(_FOOLED, 0) == 0
-                and self.streamed_audit_failures == 0
-            )
+        counts = self.counts
         return (
-            not self.impossible_rows
-            and not any(r.outcome == _FOOLED for r in self.rows)
-            and not self.audit_failures
+            counts.get(IMPOSSIBLE, 0) == 0
+            and counts.get(_FOOLED, 0) == 0
+            and self.audit_failure_count == 0
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -217,6 +202,9 @@ class CampaignReport:
             "seed": self.seed,
             "pairs": self.total_pairs,
             "counts": self.counts,
+            "restarts": self.restarts,
+            "stalls": self.stalls,
+            "audit_failures": self.audit_failure_count,
             "ok": self.ok,
             "rows": [r.to_dict() for r in self.rows],
         }
@@ -226,25 +214,17 @@ class CampaignReport:
 
     def render(self) -> str:
         """Human-readable summary table."""
-        mode = " [streamed]" if self.streamed else ""
         lines = [
             f"fault campaign: {self.total_pairs} (instance, plan) pairs, "
-            f"seed={self.seed}{mode}"
+            f"seed={self.seed}"
         ]
         counts = self.counts
         extra = sorted(set(counts) - set(OUTCOMES))
         for name in (*OUTCOMES, *extra):
             lines.append(f"  {name:>22}: {counts.get(name, 0)}")
-        audit_count = (
-            self.streamed_audit_failures
-            if self.streamed
-            else len(self.audit_failures)
-        )
-        total_restarts = sum(r.restarts for r in self.rows)
-        total_stalls = sum(r.stalls for r in self.rows)
         lines.append(
-            f"  restarts={total_restarts}  stalls={total_stalls}  "
-            f"audit-failures={audit_count}"
+            f"  restarts={self.restarts}  stalls={self.stalls}  "
+            f"audit-failures={self.audit_failure_count}"
         )
         for row in self.impossible_rows:
             lines.append(
@@ -270,67 +250,6 @@ def _pair_context(seed: int, index: int, plan_name: str) -> "flight.TraceContext
     trace ids (and its digest) are identical for any worker count, with
     or without the recorder."""
     return flight.TraceContext.mint("fault-case", f"{seed}:{index}:{plan_name}")
-
-
-def write_campaign_ledger(
-    ledger: Any,
-    report: "CampaignReport",
-    tasks: Sequence[Tuple[int, Any, FaultPlan, CampaignConfig]],
-    elapsed: float = 0.0,
-) -> int:
-    """Append one ``kind="fault"`` ledger row per campaign pair.
-
-    Every column except ``wall_ms`` (the mean per-pair wall time — the
-    sweep is timed as a whole) is a pure function of the campaign config,
-    so :meth:`~repro.obs.ledger.RunLedger.digest` over these rows is
-    byte-identical for any worker count.  ``budget`` is the Theorem 3.1
-    bound ``C·r·|E|`` the row's ``moves`` count is judged against.
-    Returns the number of rows written.
-    """
-    from ..graphs.canonical import canonical_hash
-
-    led = open_ledger(ledger)
-    campaign = f"fault:seed={report.seed}:pairs={len(tasks)}"
-    wall_each = (elapsed / len(tasks) * 1000.0) if tasks else 0.0
-    chash_by_label: Dict[str, str] = {}
-    rows: List[LedgerRow] = []
-    for row, (index, inst, plan, cfg) in zip(report.rows, tasks):
-        chash = chash_by_label.get(row.instance)
-        if chash is None:
-            chash = canonical_hash(
-                inst.network, inst.placement.bicoloring(inst.network)
-            )
-            chash_by_label[row.instance] = chash
-        ctx = _pair_context(cfg.seed, index, plan.name)
-        budget = (
-            THEOREM31_CONSTANT
-            * inst.placement.num_agents
-            * max(1, inst.network.num_edges)
-        )
-        rows.append(
-            LedgerRow(
-                kind="fault",
-                campaign=campaign,
-                case_index=row.index,
-                instance=row.instance,
-                family=row.family,
-                chash=chash,
-                seed=_pair_seed(cfg.seed, index, plan.name),
-                predicted="electable" if row.predicted else "impossible",
-                outcome=row.outcome,
-                detail=row.detail,
-                moves=row.moves,
-                budget=budget,
-                steps=row.steps,
-                wall_ms=round(wall_each, 3),
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-            )
-        )
-    written = led.append(rows)
-    if not isinstance(ledger, RunLedger):
-        led.close()
-    return written
 
 
 def _classify_completion(
@@ -532,7 +451,6 @@ class FaultCampaignSpec(CampaignSpec):
         pairs: int = 208,
         config: Optional[CampaignConfig] = None,
         quick: bool = False,
-        collect: bool = False,
     ):
         self.config = config or CampaignConfig()
         if instances is None:
@@ -550,10 +468,11 @@ class FaultCampaignSpec(CampaignSpec):
         self.audit_counter = PredicateCounter(
             "audit-failures", lambda row: bool(row.audit_failures)
         )
-        self.failures = FailureKeeper(self.case_failed)
-        self.collector: Optional[RowCollector] = (
-            RowCollector() if collect else None
+        self.restart_counter = PredicateCounter(
+            "restarts", lambda row: row.restarts
         )
+        self.stall_counter = PredicateCounter("stalls", lambda row: row.stalls)
+        self.failures = FailureKeeper(self.case_failed)
 
     @property
     def total(self) -> int:
@@ -640,15 +559,14 @@ class FaultCampaignSpec(CampaignSpec):
         )
 
     def stages(self) -> Sequence[Stage]:
-        stages: List[Stage] = [
+        return (
             self.counter,
             self.audit_counter,
+            self.restart_counter,
+            self.stall_counter,
             MetricsStage(lambda row: count_outcome(row.outcome)),
             self.failures,
-        ]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+        )
 
     def describe(self) -> Dict[str, Any]:
         cfg = self.config
@@ -675,7 +593,6 @@ def run_campaign(
     workers: Optional[int] = 1,
     quick: bool = False,
     ledger: Optional[Any] = None,
-    stream: bool = False,
     shard: Optional[Any] = None,
     resume: bool = False,
     checkpoint_every: int = 64,
@@ -686,18 +603,14 @@ def run_campaign(
 
     Deterministic in ``(instances, pairs, config)`` — worker count only
     changes wall-clock time (the battery runner preserves input order and
-    every seed is derived per pair).  The sweep runs on the
-    :class:`~repro.campaign.CampaignEngine`:
-
-    * ``stream=False`` (default) keeps the legacy shape — every row held
-      in memory, full report;
-    * ``stream=True`` retains only failing rows; headline counts come
-      from the engine's checkpointed counters, so memory stays flat for
-      arbitrarily large ``pairs`` and a resumed sweep reports exact
-      totals;
-    * ``shard`` (a :class:`~repro.campaign.Shard` or ``"i/N"`` string),
-      ``resume``, ``checkpoint_every``, ``max_cases`` and ``spill`` pass
-      straight to the engine — see :mod:`repro.campaign.engine`.
+    every seed is derived per pair).  The sweep streams through the
+    :class:`~repro.campaign.CampaignEngine`: the report keeps only the
+    failing rows, and its counts and totals come from the engine's
+    checkpointed counters, so memory stays flat for any ``pairs`` and a
+    resumed sweep reports exact totals.  ``shard`` (a
+    :class:`~repro.campaign.Shard` or ``"i/N"`` string), ``resume``,
+    ``checkpoint_every``, ``max_cases`` and ``spill`` pass straight to
+    the engine — see :mod:`repro.campaign.engine`.
 
     ``ledger`` (a :class:`~repro.obs.ledger.RunLedger` or a path) appends
     one row per pair, committed chunk-atomically with the shard's resume
@@ -708,33 +621,24 @@ def run_campaign(
     """
     cfg = config or CampaignConfig()
     spec = FaultCampaignSpec(
-        instances=instances,
-        pairs=pairs,
-        config=cfg,
-        quick=quick,
-        collect=not stream,
+        instances=instances, pairs=pairs, config=cfg, quick=quick
     )
-    if shard is None:
-        shard = Shard()
-    elif not isinstance(shard, Shard):
-        shard = Shard.parse(shard)
-    engine = CampaignEngine(
+    result = run_spec(
         spec,
         ledger=ledger,
         workers=workers,
         shard=shard,
+        resume=resume,
         checkpoint_every=checkpoint_every,
         max_cases=max_cases,
         spill=spill,
     )
-    result = engine.run(resume=resume)
-    if stream:
-        return CampaignReport(
-            rows=list(spec.failures.kept),
-            seed=cfg.seed,
-            streamed_counts=dict(result.counts),
-            streamed_total=result.resumed + result.processed,
-            streamed_audit_failures=spec.audit_counter.count,
-        )
-    assert spec.collector is not None
-    return CampaignReport(rows=list(spec.collector.rows), seed=cfg.seed)
+    return CampaignReport(
+        rows=list(spec.failures.kept),
+        seed=cfg.seed,
+        total_pairs=result.resumed + result.processed,
+        outcome_counts=dict(result.counts),
+        restarts=spec.restart_counter.count,
+        stalls=spec.stall_counter.count,
+        audit_failure_count=spec.audit_counter.count,
+    )

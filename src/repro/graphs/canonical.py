@@ -127,9 +127,7 @@ def _normalize_palette(colors: Sequence[Hashable]) -> List[int]:
     return [ranked[c] for c in colors]
 
 
-def digraph_refinement(
-    g: Digraph, initial: Sequence[int], kernel: Optional[str] = None
-) -> List[int]:
+def digraph_refinement(g: Digraph, initial: Sequence[int]) -> List[int]:
     """Coarsest equitable partition of a digraph refining ``initial``.
 
     Node signature = (class, sorted out-neighbor classes, sorted in-neighbor
@@ -137,15 +135,13 @@ def digraph_refinement(
     is isomorphism-invariant: isomorphic digraphs (with matching initial
     colorings) receive identical class-id structures.
 
-    ``kernel`` selects the backend (:data:`repro.perf.kernel.KERNELS`):
-    the numpy kernel reproduces this function's numbering bit-for-bit, so
-    canonical encodings — and the pinned ``canonical_hash`` goldens — are
-    identical under every backend.  ``"worklist"`` and ``"baseline"`` both
-    mean this Python reference (there is no splitter-queue variant here).
-    ``None`` picks by node count (numpy from
-    :data:`~repro.perf.kernel.DIGRAPH_NUMPY_MIN_NODES` on).
+    Runs on the numpy kernel from
+    :data:`~repro.perf.kernel.DIGRAPH_NUMPY_MIN_NODES` nodes on and on the
+    Python reference below; the kernel reproduces the reference's
+    numbering bit-for-bit, so canonical encodings — and the pinned
+    ``canonical_hash`` goldens — do not depend on the size rule.
     """
-    if resolve_kernel(kernel, g.num_nodes, DIGRAPH_NUMPY_MIN_NODES) == "numpy":
+    if resolve_kernel(g.num_nodes, DIGRAPH_NUMPY_MIN_NODES) == "numpy":
         return DigraphKernel(g).refine(initial)
     return _digraph_refinement_python(g, initial)
 
@@ -201,20 +197,18 @@ def _encode_ordering(g: Digraph, order: Sequence[int]) -> Encoding:
     return colors_row, bytes(bits)
 
 
-def _make_refiner(g: Digraph, kernel: Optional[str]):
+def _make_refiner(g: Digraph):
     """One refinement callable for a whole individualization–refinement
     search: the numpy backend prebuilds the flat digraph buffers once and
     reuses them across the hundreds of re-refinements the recursion makes.
     """
-    if resolve_kernel(kernel, g.num_nodes, DIGRAPH_NUMPY_MIN_NODES) == "numpy":
+    if resolve_kernel(g.num_nodes, DIGRAPH_NUMPY_MIN_NODES) == "numpy":
         return DigraphKernel(g).refine
     preds = g.in_edges()
     return lambda classes: _digraph_refinement_python(g, classes, preds)
 
 
-def canonical_search(
-    g: Digraph, kernel: Optional[str] = None
-) -> Tuple[Encoding, Tuple[int, ...]]:
+def canonical_search(g: Digraph) -> Tuple[Encoding, Tuple[int, ...]]:
     """The canonical encoding of ``g`` and a node order that attains it.
 
     Individualization–refinement: leaves are discrete partitions, each
@@ -231,8 +225,7 @@ def canonical_search(
     :func:`canonical_hash` and the shared class structure
     (:func:`repro.core.ordering.compute_class_structure`) all start from
     it.  The result is backend-independent (the kernels agree
-    bit-for-bit, so they walk the same search tree), hence the
-    backend-free memo key.
+    bit-for-bit, so they walk the same search tree).
 
     Automorphisms found on the way prune the tree.  Two leaves with the
     same encoding give an automorphism ``γ``; a subtree is skipped only
@@ -248,14 +241,12 @@ def canonical_search(
     it left the first path (McKay's rule).  On K_{3,7} with every node
     colored alike this takes 9 leaves instead of 3!·7! = 30 240.
     """
-    return _cache.memo_value("canonical_key", g, lambda: _canonical_search(g, kernel))
+    return _cache.memo_value("canonical_key", g, lambda: _canonical_search(g))
 
 
-def _canonical_search(
-    g: Digraph, kernel: Optional[str]
-) -> Tuple[Encoding, Tuple[int, ...]]:
+def _canonical_search(g: Digraph) -> Tuple[Encoding, Tuple[int, ...]]:
     n = g.num_nodes
-    refine = _make_refiner(g, kernel)
+    refine = _make_refiner(g)
     best: Optional[Tuple[Encoding, Tuple[int, ...]]] = None
     first: Optional[Tuple[Encoding, List[int], Tuple[int, ...]]] = None
     autos: List[List[int]] = []  # automorphisms, as node -> image

@@ -33,7 +33,6 @@ def surrounding(
     network: AnonymousNetwork,
     u: int,
     node_colors: Optional[NodeColoring] = None,
-    kernel: Optional[str] = None,
 ) -> Digraph:
     """The surrounding ``S(u)`` as a colored :class:`Digraph`.
 
@@ -41,16 +40,16 @@ def surrounding(
     the surrounding of a multigraph would need arc multiplicities).
     Memoized per ``(network, u, coloring)``: :func:`surrounding_profile`
     and :func:`surrounding_key` both start from this digraph, and the
-    returned :class:`Digraph` is immutable so sharing is safe.  The
-    ``kernel`` selector picks how the arc list is computed (flat-array BFS
-    vs the per-edge Python loop); every backend produces the same digraph,
-    so the memo key is backend-free.
+    returned :class:`Digraph` is immutable so sharing is safe.  The arc
+    list comes from the flat-array BFS from
+    :data:`~repro.perf.kernel.VIEW_NUMPY_MIN_NODES` nodes on and from a
+    per-edge Python loop below; both give the same digraph.
     """
     return _cache.memo(
         network,
         "surrounding",
         (u, _colors_key(node_colors)),
-        lambda: _surrounding(network, u, node_colors, kernel),
+        lambda: _surrounding(network, u, node_colors),
     )
 
 
@@ -58,22 +57,30 @@ def _surrounding(
     network: AnonymousNetwork,
     u: int,
     node_colors: Optional[NodeColoring],
-    kernel: Optional[str] = None,
 ) -> Digraph:
     if not network.is_simple:
         raise GraphError("surroundings are defined for simple networks")
     colors = _normalize_colors(network, node_colors)
-    if resolve_kernel(kernel, network.num_nodes, VIEW_NUMPY_MIN_NODES) == "numpy":
+    if resolve_kernel(network.num_nodes, VIEW_NUMPY_MIN_NODES) == "numpy":
         arcs = surrounding_arcs_numpy(network, u)
     else:
-        dist = network.distances_from(u)
-        arcs = []
-        for (x, _, y, _) in network.edges():
-            if dist[x] <= dist[y]:
-                arcs.append((x, y))
-            if dist[y] <= dist[x]:
-                arcs.append((y, x))
+        arcs = _surrounding_arcs_python(network, u)
     return Digraph.build(network.num_nodes, arcs, colors)
+
+
+def _surrounding_arcs_python(
+    network: AnonymousNetwork, u: int
+) -> List[Tuple[int, int]]:
+    """The arcs of ``S(u)``: a per-edge loop over BFS distances (the
+    small-graph backend, and the parity oracle of the numpy one)."""
+    dist = network.distances_from(u)
+    arcs = []
+    for (x, _, y, _) in network.edges():
+        if dist[x] <= dist[y]:
+            arcs.append((x, y))
+        if dist[y] <= dist[x]:
+            arcs.append((y, x))
+    return arcs
 
 
 def surrounding_key(

@@ -59,13 +59,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from ..perf import cache as _cache
-from ..perf.kernel import (  # noqa: F401  (re-exported selector surface)
-    KERNELS,
-    VIEW_NUMPY_MIN_NODES,
-    default_kernel,
-    refine_numpy,
-    resolve_kernel,
-)
+from ..perf.kernel import VIEW_NUMPY_MIN_NODES, refine_numpy, resolve_kernel
 from .network import AnonymousNetwork, PortLabel
 
 NodeColoring = Sequence[Hashable]
@@ -327,33 +321,22 @@ def _refine_worklist(
 def view_refinement(
     network: AnonymousNetwork,
     node_colors: Optional[NodeColoring] = None,
-    max_rounds: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> List[int]:
     """The view-equivalence partition, as a class id per node.
 
-    The fixpoint partition is computed by the selected backend and memoized
-    per ``(network, kernel, coloring)``; the cache-miss count in
-    ``repro.perf.cache_stats()["view_refinement"]`` is the number of actual
-    refinement runs.  ``kernel`` selects the backend: ``"numpy"`` (the
-    flat-array vectorized kernel), ``"worklist"`` (the Paige–Tarjan
-    splitter queue) or ``"baseline"`` (the seed all-nodes-every-round
-    loop); ``None`` picks by node count — the worklist below
-    :data:`~repro.perf.kernel.VIEW_NUMPY_MIN_NODES`, numpy from there on.
-    All backends induce the same partition
-    with equivariant ids; the *numbering* is per-backend (each is
-    canonical on its own, which is all the id-based orders need).
-    ``max_rounds`` requests the depth-limited classes instead, which only
-    the round-based reference implementation defines — those calls bypass
-    the cache and the selector.
+    The fixpoint partition is memoized per ``(network, coloring)``; the
+    cache-miss count in ``repro.perf.cache_stats()["view_refinement"]`` is
+    the number of actual refinement runs.  The backend is picked by node
+    count: the Paige–Tarjan worklist below
+    :data:`~repro.perf.kernel.VIEW_NUMPY_MIN_NODES`, the flat-array numpy
+    kernel from there on.  Both induce the same partition with
+    equivariant ids; the *numbering* is per-backend (each is canonical on
+    its own, which is all the id-based orders need).  The depth-limited
+    classes are :func:`view_refinement_baseline` with ``max_rounds``.
     """
-    if max_rounds is not None:
-        return view_refinement_baseline(network, node_colors, max_rounds)
-    backend = resolve_kernel(kernel, network.num_nodes, VIEW_NUMPY_MIN_NODES)
+    backend = resolve_kernel(network.num_nodes, VIEW_NUMPY_MIN_NODES)
 
     def compute() -> Tuple[int, ...]:
-        if backend == "baseline":
-            return tuple(view_refinement_baseline(network, node_colors))
         colors = _normalize_colors(network, node_colors)
         if backend == "worklist":
             return tuple(_refine_worklist(network, colors))

@@ -266,7 +266,7 @@ def _cmd_flight_record(args: argparse.Namespace) -> int:
     if args.ledger:
         with RunLedger(args.ledger) as ledger:
             ledger_rows = ledger.count(kind="fault")
-    cases = len(report.rows)
+    cases = report.total_pairs
     summary = flight.summarize(spans)
     summary.update(
         {

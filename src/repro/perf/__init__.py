@@ -14,21 +14,18 @@ funnels through the view-refinement and canonical-form machinery in
   keyed by its canonical form.  Hit/miss counters, an explicit
   ``invalidate`` and an ``uncached()`` escape hatch govern both;
 * :mod:`repro.perf.kernel` — the flat-array refinement kernel: CSR-style
-  numpy buffers per network (:func:`flat_network`), the vectorized
-  refinement passes behind the ``kernel="numpy" | "worklist" | "baseline"``
-  selector, and the exact-parity digraph kernel the canonical machinery
-  uses.  Without an explicit ``kernel=``, each function picks its backend
-  by node count (Python below a measured crossover, numpy above;
-  :func:`default_kernel` describes the rule);
+  numpy buffers per network (:func:`flat_network`), the vectorized view
+  refinement, and the exact-parity digraph kernel the canonical machinery
+  uses.  Each refinement function picks its backend by node count (Python
+  below a measured crossover, numpy above; :func:`default_kernel`
+  describes the rule);
 * :mod:`repro.perf.parallel` — :class:`ParallelBatteryRunner`, a
   ``concurrent.futures`` fan-out over independent election instances with
   deterministic result ordering (used by ``reproduce_table1`` and the
   instance batteries), including the shared-memory ``map_on_networks`` path;
 * :mod:`repro.perf.shm` — one-shot shared-memory export of a network's
   flat buffers for process workers (:func:`~repro.perf.shm.export_network`
-  / :func:`~repro.perf.shm.attach_network`);
-* :mod:`repro.perf.bench_compare` — the benchmark-regression comparator
-  (``python -m repro.perf.bench_compare baseline.json current.json``).
+  / :func:`~repro.perf.shm.attach_network`).
 
 Networks are immutable after construction (all transformations return
 copies), which is what makes identity-keyed caching sound; see DESIGN §8.2
@@ -48,7 +45,6 @@ from .cache import (
     uncached,
 )
 from .kernel import (
-    KERNELS,
     default_kernel,
     flat_network,
     refine_numpy,
@@ -58,7 +54,6 @@ from .parallel import ParallelBatteryRunner, parallel_map
 from .shm import SharedNetworkHandle, attach_network, export_network
 
 __all__ = [
-    "KERNELS",
     "ParallelBatteryRunner",
     "SharedNetworkHandle",
     "attach_network",

@@ -43,17 +43,18 @@ hot path on flat integer arrays:
 
 Backend selection
 -----------------
-:func:`resolve_kernel` maps the ``kernel=`` selector to a backend name:
-``"numpy"``, ``"worklist"`` (the Paige–Tarjan splitter queue; for digraph
-refinement, the Python reference) or ``"baseline"`` (the seed
-all-nodes-every-round loop).  An explicit ``kernel=`` always wins; it is
-what the parity oracles and ``benchmarks/bench_refinement_scaling.py``
-use.  Without one, the backend is chosen by node count: Python below a
-measured crossover, numpy at or above it.  There is one crossover per
+Each function picks its backend by node count: Python below a measured
+crossover, numpy at or above it (:func:`resolve_kernel`).  The Python
+backend is the Paige–Tarjan splitter queue for view refinement and the
+per-node reference for digraph refinement.  There is one crossover per
 function: :data:`DIGRAPH_NUMPY_MIN_NODES` for ``digraph_refinement`` and
 the canonical search, :data:`VIEW_NUMPY_MIN_NODES` for ``view_refinement``
 and ``surrounding``.  The rule depends on the size only, so isomorphic
-copies always take the same backend.
+copies always take the same backend.  The parity oracles and
+``benchmarks/bench_refinement_scaling.py`` call the backends directly
+(:func:`refine_numpy`, :class:`DigraphKernel`, and the Python ones in
+:mod:`repro.graphs.views` / :mod:`repro.graphs.canonical`, including the
+seed all-nodes-every-round ``view_refinement_baseline``).
 
 Measured per call (best of 5, ms; Xeon @ 2.1 GHz, Python 3.11, numpy
 with scipy).  Instances: ``random_connected_graph(n, 8/n,
@@ -101,11 +102,10 @@ equivariance is preserved.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import GraphError
 from . import cache as _cache
 
 
@@ -127,9 +127,6 @@ def _scipy() -> Optional[Tuple[Any, Any]]:
     return csr_matrix, dijkstra
 
 
-#: The view-refinement backends, in preference order.
-KERNELS = ("numpy", "worklist", "baseline")
-
 #: Padded-signature cell budget before the numpy view backend delegates to
 #: the worklist (n · (Δ+1) int64 cells ≈ 8 bytes each; 64e6 ≈ 512 MB is
 #: far above every benchmark family but guards hub-dominated graphs).
@@ -147,33 +144,28 @@ _PACK_LIMIT = 2**62
 _PAD = np.int64(-1)
 
 #: Node count from which ``digraph_refinement`` and the canonical search
-#: run on numpy when no ``kernel=`` is given (see the table above).
+#: run on numpy (see the table above).
 DIGRAPH_NUMPY_MIN_NODES = 128
 
 #: Node count from which ``view_refinement`` and ``surrounding`` run on
-#: numpy when no ``kernel=`` is given (see the table above).
+#: numpy (see the table above).
 VIEW_NUMPY_MIN_NODES = 128
 
 
 def default_kernel() -> str:
-    """The backend rule applied when no ``kernel=`` is passed, as a label."""
+    """The backend rule, as a label."""
     return (
         f"by size (numpy from {DIGRAPH_NUMPY_MIN_NODES} nodes for digraphs, "
         f"{VIEW_NUMPY_MIN_NODES} for views; Python below)"
     )
 
 
-def resolve_kernel(kernel: Optional[str], n: int, numpy_min_nodes: int) -> str:
-    """Validate an explicit selector, or pick the backend for ``n`` nodes.
-
-    ``numpy_min_nodes`` is the calling function's crossover
-    (:data:`DIGRAPH_NUMPY_MIN_NODES` or :data:`VIEW_NUMPY_MIN_NODES`).
-    """
-    if kernel is None:
-        return "numpy" if n >= numpy_min_nodes else "worklist"
-    if kernel not in KERNELS:
-        raise GraphError(f"unknown refinement kernel {kernel!r}; choose from {KERNELS}")
-    return kernel
+def resolve_kernel(n: int, numpy_min_nodes: int) -> str:
+    """The backend for an ``n``-node input: ``"numpy"`` from the calling
+    function's crossover ``numpy_min_nodes`` on
+    (:data:`DIGRAPH_NUMPY_MIN_NODES` or :data:`VIEW_NUMPY_MIN_NODES`),
+    ``"worklist"`` (the Python backend) below it."""
+    return "numpy" if n >= numpy_min_nodes else "worklist"
 
 
 # ----------------------------------------------------------------------

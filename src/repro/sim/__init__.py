@@ -28,10 +28,6 @@ from .signs import Sign, distinct_colors, signs_of_kind
 from .traversal import LocalMap, Navigator, draw_map, draw_map_frontier
 from .whiteboard import Whiteboard
 
-# Deprecated aliases into repro.fault; imported last so the whole sim
-# substrate is initialized before anything fault-layer-adjacent loads.
-from .faults import CrashAfter, CrashOnKind
-
 __all__ = [
     "Action",
     "Move",
@@ -65,6 +61,4 @@ __all__ = [
     "Navigator",
     "draw_map",
     "draw_map_frontier",
-    "CrashAfter",
-    "CrashOnKind",
 ]

@@ -15,8 +15,10 @@ from repro.adversary import (
     scheduler_specs,
     table1_battery,
 )
+from repro.adversary.fuzz import _evaluate_case
 from repro.adversary.metrics import reset as reset_metrics
 from repro.errors import AdversaryError
+from repro.obs.ledger import RunLedger
 from repro.sim import PCTScheduler
 
 
@@ -87,11 +89,25 @@ class TestGrid:
         )
 
 
+def _oracle_rows(runs, config=FuzzConfig()):
+    """Every row of a quick sweep, evaluated serially on the test side
+    (the report itself keeps only failing rows)."""
+    tasks = build_cases(table1_battery(quick=True), runs, config)
+    return [_evaluate_case(t) for t in tasks]
+
+
 class TestSweep:
     def test_fuzz_is_deterministic_across_worker_counts(self):
-        serial = run_fuzz(runs=24, quick=True, workers=1)
-        parallel = run_fuzz(runs=24, quick=True, workers=2)
-        assert serial.to_dict() == parallel.to_dict()
+        reports, digests = [], []
+        for workers in (1, 2):
+            ledger = RunLedger(":memory:")
+            reports.append(
+                run_fuzz(runs=24, quick=True, workers=workers, ledger=ledger)
+            )
+            digests.append(ledger.digest(kind="fuzz"))
+            ledger.close()
+        assert reports[0].to_dict() == reports[1].to_dict()
+        assert digests[0] == digests[1]
 
     def test_fault_free_sweep_is_green(self):
         report = run_fuzz(runs=30, quick=True)
@@ -104,18 +120,17 @@ class TestSweep:
         report = run_fuzz(runs=60, quick=True)
         assert (
             report.distinct_schedules + report.duplicate_schedules
-            == len(report.rows)
+            == report.total_cases
+            == 60
         )
         assert report.duplicate_schedules > 0
-        seen = set()
-        for row in report.rows:
-            assert row.distinct == (row.signature not in seen)
-            seen.add(row.signature)
+        signatures = [row.signature for row in _oracle_rows(60)]
+        assert report.distinct_schedules == len(set(signatures))
 
     def test_faulted_cases_reuse_campaign_vocabulary(self):
         cfg = FuzzConfig(seed=2, fault_every=2)
         report = run_fuzz(runs=20, quick=True, config=cfg)
-        faulted = [r for r in report.rows if r.plan is not None]
+        faulted = [r for r in _oracle_rows(20, cfg) if r.plan is not None]
         assert faulted
         for row in faulted:
             assert row.outcome in (
@@ -140,7 +155,8 @@ class TestSweep:
         data = json.loads(report.to_json())
         assert data["cases"] == 12
         assert data["ok"] is True
-        assert len(data["rows"]) == 12
+        # Only failing rows are kept, and a green sweep has none.
+        assert data["rows"] == []
         assert "distinct_schedules" in data
 
     def test_render_mentions_verdict(self):

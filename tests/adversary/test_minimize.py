@@ -28,6 +28,7 @@ from repro.adversary import (
     run_fuzz,
     verify_reproducer,
 )
+from repro.adversary.fuzz import _evaluate_case, build_cases
 from repro.adversary.minimize import PatchedScheduler
 from repro.adversary.specs import build_scheduler
 from repro.errors import AdversaryError
@@ -138,8 +139,11 @@ class TestDdmin:
         with pytest.raises(AdversaryError):
             Reproducer.from_dict(data)
 
-    def test_minimizing_a_green_row_is_an_error(self, toctou_report):
-        green = next(r for r in toctou_report.rows if not r.failed)
+    def test_minimizing_a_green_row_is_an_error(self):
+        # The report keeps failing rows only; take a green one from the
+        # same grid, evaluated on the test side.
+        rows = map(_evaluate_case, build_cases([K23], 120, TOCTOU))
+        green = next(r for r in rows if not r.failed)
         with pytest.raises(AdversaryError):
             row_failure_signature(green)
         with pytest.raises(AdversaryError):

@@ -18,14 +18,14 @@ from repro.obs.ledger import RunLedger
 def _fuzz(path):
     return run_fuzz(
         runs=56, config=FuzzConfig(seed=11, fault_every=3),
-        workers=1, ledger=path, stream=True,
+        workers=1, ledger=path,
     )
 
 
 def _fault(path):
     return run_campaign(
         pairs=24, config=CampaignConfig(seed=5),
-        workers=1, ledger=path, stream=True,
+        workers=1, ledger=path,
     )
 
 
@@ -33,7 +33,7 @@ def _byzantine(path):
     return run_byzantine_campaign(
         cases=16, powers=(0, 1, 2),
         config=ByzantineConfig(seed=3, timeout=200, max_restarts=2),
-        quick=True, workers=1, ledger=path, stream=True,
+        quick=True, workers=1, ledger=path,
     )
 
 
@@ -62,7 +62,7 @@ GOLDENS = [
 def test_ledger_digest_matches_golden(kind, sweep, rows, counts, digest, tmp_path):
     path = str(tmp_path / f"{kind}.db")
     report = sweep(path)
-    assert report.streamed_counts == counts
+    assert {k: v for k, v in report.counts.items() if v} == counts
     with RunLedger(path) as led:
         assert led.count(kind=kind) == rows
         assert led.digest(kind=kind) == digest

@@ -17,9 +17,10 @@ from repro.campaign import (
     CampaignSpec,
     FailureKeeper,
     OutcomeCounter,
-    RowCollector,
+    PredicateCounter,
     Shard,
     SignatureDedup,
+    Stage,
     read_spill,
 )
 from repro.errors import CampaignError
@@ -41,17 +42,29 @@ def _toy_evaluate(index: int) -> ToyResult:
     return ToyResult(index)
 
 
+class SeenIndices(Stage):
+    """Test-side observer: the case indices the stages saw, in order."""
+
+    name = "seen"
+
+    def __init__(self):
+        self.indices = []
+
+    def observe(self, index, result):
+        self.indices.append(index)
+
+
 class ToySpec(CampaignSpec):
     kind = "toy"
     span_name = "toy.case"
 
-    def __init__(self, total: int = 20, collect: bool = False):
+    def __init__(self, total: int = 20):
         self._total = total
         self.campaign = f"toy:n={total}"
         self.counter = OutcomeCounter()
         self.dedup = SignatureDedup()
         self.failures = FailureKeeper(self.case_failed)
-        self.collector = RowCollector() if collect else None
+        self.seen = SeenIndices()
 
     @property
     def total(self) -> int:
@@ -81,10 +94,7 @@ class ToySpec(CampaignSpec):
         return result.index == 13  # one designated failure
 
     def stages(self):
-        stages = [self.counter, self.dedup, self.failures]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+        return [self.counter, self.dedup, self.failures, self.seen]
 
     def describe(self):
         return {"kind": self.kind, "campaign": self.campaign, "n": self._total}
@@ -112,12 +122,12 @@ class TestShard:
 
 class TestEngineBasics:
     def test_runs_without_ledger(self):
-        spec = ToySpec(total=10, collect=True)
+        spec = ToySpec(total=10)
         result = CampaignEngine(spec).run()
         assert result.processed == 10 and result.resumed == 0
         assert result.counts == {"even": 5, "odd": 5}
         assert result.digest is None
-        assert [r.index for r in spec.collector.rows] == list(range(10))
+        assert spec.seen.indices == list(range(10))
         assert result.complete
         assert result.failed == 0 and result.ok  # failing index 13 > total
 
@@ -236,6 +246,30 @@ class TestCheckpointedRuns:
         assert led.digest(kind="toy") == uninterrupted.digest(kind="toy")
         uninterrupted.close()
         led.close()
+
+    def test_resume_refuses_checkpoint_missing_stage_state(self, tmp_path):
+        """A stateful stage absent from the checkpoint would restart its
+        totals at zero and under-report the resumed sweep: refused."""
+        led = RunLedger(str(tmp_path / "toy.db"))
+        CampaignEngine(ToySpec(total=20), led, checkpoint_every=5).run()
+
+        grown = ToySpec(total=20)
+        odd = PredicateCounter("odd-cases", lambda r: r.index % 2)
+        base_stages = grown.stages
+        grown.stages = lambda: list(base_stages()) + [odd]
+        with pytest.raises(CampaignError, match="no state for stage 'odd-cases'"):
+            CampaignEngine(grown, led, checkpoint_every=5).run(resume=True)
+        led.close()
+
+    def test_predicate_counter_sums_integer_predicates(self):
+        spec = ToySpec(total=10)
+        total = PredicateCounter("index-sum", lambda r: r.index)
+        flags = PredicateCounter("odd", lambda r: r.index % 2 == 1)
+        base_stages = spec.stages
+        spec.stages = lambda: list(base_stages()) + [total, flags]
+        CampaignEngine(spec).run()
+        assert total.count == sum(range(10))
+        assert flags.count == 5
 
     def test_sharded_union_digest_equals_single_shard(self, tmp_path):
         ref = RunLedger(str(tmp_path / "ref.db"))

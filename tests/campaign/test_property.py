@@ -1,11 +1,11 @@
-"""Property test: the streaming engine is observationally equal to the
-legacy in-memory sweep, for any worker count and shard split.
+"""Property test: the streaming engine is observationally equal to a
+serial in-memory sweep, for any worker count and shard split.
 
 For random grid specs the engine's streamed classification counts (and
-schedule-coverage counters, and retained failure rows) must equal what
-the legacy list-building path computes: ``build_cases``/``build_pairs``
-materialized and evaluated serially.  Sharded runs must *partition* the
-legacy totals — per-shard counters sum to the whole.
+schedule-coverage counters, restart/stall totals, and retained failure
+rows) must equal what the test-side oracle computes: ``build_cases`` /
+``build_pairs`` materialized and evaluated serially.  Sharded runs must
+*partition* the oracle totals — per-shard counters sum to the whole.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -59,9 +59,7 @@ def test_streamed_fuzz_counts_equal_legacy(runs, seed, fault_every, workers):
     cfg = FuzzConfig(seed=seed, fault_every=fault_every)
     legacy_rows, legacy_counts, legacy_distinct = _legacy_fuzz(runs, cfg)
 
-    report = run_fuzz(
-        runs=runs, config=cfg, quick=True, workers=workers, stream=True
-    )
+    report = run_fuzz(runs=runs, config=cfg, quick=True, workers=workers)
     assert {k: v for k, v in report.counts.items() if v} == legacy_counts
     assert report.distinct_schedules == legacy_distinct
     assert report.total_cases == runs
@@ -116,14 +114,15 @@ def test_streamed_fault_counts_equal_legacy(pairs, seed, workers):
         config=cfg,
         quick=True,
         workers=workers,
-        stream=True,
         instances=spec_instances,
     )
     assert {k: v for k, v in report.counts.items() if v} == legacy_counts
     assert report.total_pairs == pairs
-    assert report.streamed_audit_failures == sum(
+    assert report.audit_failure_count == sum(
         1 for r in legacy_rows if r.audit_failures
     )
+    assert report.restarts == sum(r.restarts for r in legacy_rows)
+    assert report.stalls == sum(r.stalls for r in legacy_rows)
     assert [r.index for r in report.rows] == [
         r.index
         for r in legacy_rows

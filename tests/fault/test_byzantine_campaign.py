@@ -26,6 +26,7 @@ from repro.fault.byzantine_campaign import (
 from repro.fault.campaign import (
     IMPOSSIBLE,
     CampaignConfig,
+    FaultCampaignSpec,
     _evaluate_pair,
     run_campaign,
     standard_battery,
@@ -45,18 +46,32 @@ def quick_report():
     )
 
 
+@pytest.fixture(scope="module")
+def oracle_rows():
+    """Every row of the same sweep, evaluated serially on the test side
+    (the report itself keeps only failing rows)."""
+    spec = ByzantineCampaignSpec(
+        cases=16, powers=(0, 2), config=BYZ_CONFIG, quick=True
+    )
+    return [_evaluate_byz_pair(spec.task(i)) for i in range(spec.total)]
+
+
 class TestClassification:
-    def test_every_case_lands_in_the_vocabulary(self, quick_report):
-        assert len(quick_report.rows) == 16
-        assert all(r.outcome in BYZ_OUTCOMES for r in quick_report.rows)
+    def test_every_case_lands_in_the_vocabulary(self, quick_report, oracle_rows):
+        assert len(oracle_rows) == quick_report.total_pairs == 16
+        assert all(r.outcome in BYZ_OUTCOMES for r in oracle_rows)
         assert sum(quick_report.counts.values()) == 16
+        oracle_counts = {name: 0 for name in BYZ_OUTCOMES}
+        for row in oracle_rows:
+            oracle_counts[row.outcome] += 1
+        assert quick_report.counts == oracle_counts
 
     def test_no_silent_wrong_answer_and_verdict_ok(self, quick_report):
         assert quick_report.counts[IMPOSSIBLE] == 0
         assert quick_report.ok
 
-    def test_power_zero_is_never_fooled(self, quick_report):
-        honest = [r for r in quick_report.rows if r.power == 0]
+    def test_power_zero_is_never_fooled(self, oracle_rows):
+        honest = [r for r in oracle_rows if r.power == 0]
         assert honest, "the grid must include a power-0 column"
         assert all(r.outcome != FOOLED for r in honest)
         # Power 0 also never fires a Byzantine injection.
@@ -66,18 +81,21 @@ class TestClassification:
                 for k in row.injections
             )
 
-    def test_rows_carry_adversary_coordinates(self, quick_report):
+    def test_rows_carry_adversary_coordinates(self, oracle_rows):
         names = {name for name, _, _ in SCENARIOS}
-        assert all(r.scenario in names for r in quick_report.rows)
-        assert {r.power for r in quick_report.rows} <= {0, 2}
-        liars = [r for r in quick_report.rows if r.power == 2]
+        assert all(r.scenario in names for r in oracle_rows)
+        assert {r.power for r in oracle_rows} <= {0, 2}
+        liars = [r for r in oracle_rows if r.power == 2]
         assert any(
             any(k.startswith("byzantine-") for k in r.injections)
             for r in liars
         ), "no power-2 case ever told a lie"
 
-    def test_structural_audits_green(self, quick_report):
-        assert all(r.audit_failures == () for r in quick_report.rows)
+    def test_structural_audits_green(self, quick_report, oracle_rows):
+        assert all(r.audit_failures == () for r in oracle_rows)
+        assert quick_report.audit_failure_count == 0
+        assert quick_report.restarts == sum(r.restarts for r in oracle_rows)
+        assert quick_report.stalls == sum(r.stalls for r in oracle_rows)
 
     def test_report_surfaces_the_rate_table(self, quick_report):
         table = quick_report.power_table()
@@ -89,11 +107,20 @@ class TestClassification:
         assert "detection-rate" in text
         assert "verdict: OK" in text
 
-    def test_same_config_same_report(self, quick_report):
-        again = run_byzantine_campaign(
-            cases=16, powers=(0, 2), workers=1, quick=True, config=BYZ_CONFIG
-        )
-        assert again.to_dict() == quick_report.to_dict()
+    def test_same_config_same_report(self, tmp_path):
+        digests, reports = [], []
+        for name in ("a.db", "b.db"):
+            path = str(tmp_path / name)
+            reports.append(
+                run_byzantine_campaign(
+                    cases=16, powers=(0, 2), workers=1, quick=True,
+                    config=BYZ_CONFIG, ledger=path,
+                )
+            )
+            with RunLedger(path) as led:
+                digests.append(led.digest(kind="byzantine"))
+        assert reports[0].to_dict() == reports[1].to_dict()
+        assert digests[0] == digests[1]
 
 
 class TestDigestInvariance:
@@ -111,7 +138,6 @@ class TestDigestInvariance:
             quick=True,
             config=BYZ_CONFIG,
             ledger=led_path,
-            stream=True,
             shard=shard,
         )
         return led_path
@@ -140,25 +166,25 @@ class TestDigestInvariance:
 
 class TestFaultCampaignKnob:
     def test_byzantine_mix_in_the_crash_campaign(self):
-        report = run_campaign(
-            pairs=8,
-            workers=1,
-            quick=True,
-            config=CampaignConfig(
-                seed=0, timeout=200, max_restarts=2, byzantine=3
-            ),
+        config = CampaignConfig(
+            seed=0, timeout=200, max_restarts=2, byzantine=3
         )
-        assert all(r.outcome in BYZ_OUTCOMES for r in report.rows)
+        report = run_campaign(pairs=8, workers=1, quick=True, config=config)
+        assert report.total_pairs == 8
+        assert set(report.counts) <= set(BYZ_OUTCOMES)
         assert report.counts.get(IMPOSSIBLE, 0) == 0
-        assert any("+byz" in r.plan for r in report.rows)
+        spec = FaultCampaignSpec(pairs=8, config=config, quick=True)
+        rows = [spec.evaluate(spec.task(i)) for i in range(spec.total)]
+        assert all(r.outcome in BYZ_OUTCOMES for r in rows)
+        assert any("+byz" in r.plan for r in rows)
 
 
 class TestPowerRateStage:
-    def test_counts_and_checkpoint_round_trip(self, quick_report):
+    def test_counts_and_checkpoint_round_trip(self, quick_report, oracle_rows):
         stage = PowerRateStage()
-        for row in quick_report.rows:
+        for row in oracle_rows:
             stage.observe(row.index, row)
-        assert sum(stage.counts.values()) == len(quick_report.rows)
+        assert sum(stage.counts.values()) == len(oracle_rows)
         assert power_outcome_table(stage.counts) == quick_report.power_table()
         clone = PowerRateStage()
         clone.load_state(stage.state_dict())

@@ -8,15 +8,35 @@ from repro.fault.campaign import (
     IMPOSSIBLE,
     OUTCOMES,
     CampaignConfig,
+    _evaluate_pair,
     build_pairs,
     run_campaign,
     standard_battery,
 )
+from repro.obs.ledger import RunLedger
 
 
 @pytest.fixture(scope="module")
 def quick_report():
     return run_campaign(pairs=16, workers=1, quick=True)
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    """Every row of the same sweep, evaluated serially on the test side
+    (the report itself keeps only failing rows)."""
+    tasks = build_pairs(standard_battery(quick=True), 16, CampaignConfig())
+    return [_evaluate_pair(t) for t in tasks]
+
+
+def _swept(**kwargs):
+    """Run a quick campaign into an in-memory ledger: (report, digest)."""
+    ledger = RunLedger(":memory:")
+    try:
+        report = run_campaign(quick=True, ledger=ledger, **kwargs)
+        return report, ledger.digest(kind="fault")
+    finally:
+        ledger.close()
 
 
 class TestBattery:
@@ -48,28 +68,36 @@ class TestClassification:
         assert quick_report.impossible_rows == []
         assert quick_report.ok
 
-    def test_counts_cover_every_row(self, quick_report):
-        assert sum(quick_report.counts.values()) == len(quick_report.rows)
-        assert all(row.outcome in OUTCOMES for row in quick_report.rows)
+    def test_counts_cover_every_row(self, quick_report, oracle_rows):
+        assert sum(quick_report.counts.values()) == quick_report.total_pairs
+        assert quick_report.total_pairs == len(oracle_rows) == 16
+        assert all(row.outcome in OUTCOMES for row in oracle_rows)
+        oracle_counts = {name: 0 for name in OUTCOMES}
+        for row in oracle_rows:
+            oracle_counts[row.outcome] += 1
+        assert quick_report.counts == oracle_counts
         assert quick_report.counts[IMPOSSIBLE] == 0
 
-    def test_rows_carry_run_evidence(self, quick_report):
-        completed = [
-            r for r in quick_report.rows if r.outcome != "detected-stall"
-        ]
+    def test_rows_carry_run_evidence(self, quick_report, oracle_rows):
+        completed = [r for r in oracle_rows if r.outcome != "detected-stall"]
         assert completed, "quick battery must complete some runs"
         assert all(r.steps > 0 and r.moves >= 0 for r in completed)
-        recovered = [r for r in quick_report.rows if r.outcome == "recovered"]
+        recovered = [r for r in oracle_rows if r.outcome == "recovered"]
         assert all(r.restarts > 0 for r in recovered)
+        assert quick_report.restarts == sum(r.restarts for r in oracle_rows)
+        assert quick_report.stalls == sum(r.stalls for r in oracle_rows)
 
     def test_structural_audits_green(self, quick_report):
         assert quick_report.audit_failures == []
+        assert quick_report.audit_failure_count == 0
 
     def test_report_json_round_trips(self, quick_report):
         data = json.loads(quick_report.to_json())
-        assert data["pairs"] == len(quick_report.rows)
+        assert data["pairs"] == quick_report.total_pairs == 16
         assert data["ok"] is True
-        assert len(data["rows"]) == len(quick_report.rows)
+        assert data["restarts"] == quick_report.restarts
+        # Only failing rows are kept, and a green sweep has none.
+        assert data["rows"] == [] == quick_report.rows
 
     def test_render_mentions_verdict(self, quick_report):
         text = quick_report.render()
@@ -85,36 +113,41 @@ class TestClassification:
 
         from repro.fault.campaign import CampaignReport, _FOOLED
 
-        base = run_campaign(pairs=2, workers=1, quick=True)
-        fooled_row = dataclasses.replace(base.rows[0], outcome=_FOOLED)
+        task = build_pairs(standard_battery(quick=True), 1, CampaignConfig())[0]
+        fooled_row = dataclasses.replace(_evaluate_pair(task), outcome=_FOOLED)
         report = CampaignReport(
-            seed=base.seed, rows=[fooled_row, *base.rows[1:]]
+            seed=0,
+            rows=[fooled_row],
+            total_pairs=1,
+            outcome_counts={_FOOLED: 1},
         )
         assert not report.ok
         assert _FOOLED in report.render()
-        streamed = CampaignReport(
-            seed=base.seed,
-            rows=[],
-            streamed_counts={_FOOLED: 1},
-            streamed_total=1,
-        )
-        assert not streamed.ok
 
 
 class TestDeterminism:
-    def test_same_config_same_report(self, quick_report):
-        again = run_campaign(pairs=16, workers=1, quick=True)
-        assert again.to_dict() == quick_report.to_dict()
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _swept(pairs=16, workers=1)
 
-    def test_worker_count_does_not_change_the_report(self, quick_report):
-        parallel = run_campaign(pairs=16, workers=2, quick=True)
-        assert parallel.to_dict() == quick_report.to_dict()
+    def test_same_config_same_report(self, reference):
+        report, digest = reference
+        again, again_digest = _swept(pairs=16, workers=1)
+        assert again.to_dict() == report.to_dict()
+        assert again_digest == digest
 
-    def test_seed_changes_the_sweep(self, quick_report):
-        other = run_campaign(
-            pairs=16, workers=1, quick=True, config=CampaignConfig(seed=99)
+    def test_worker_count_does_not_change_the_report(self, reference):
+        report, digest = reference
+        parallel, parallel_digest = _swept(pairs=16, workers=2)
+        assert parallel.to_dict() == report.to_dict()
+        assert parallel_digest == digest
+
+    def test_seed_changes_the_sweep(self, reference):
+        _, digest = reference
+        other, other_digest = _swept(
+            pairs=16, workers=1, config=CampaignConfig(seed=99)
         )
-        assert other.to_dict() != quick_report.to_dict()
+        assert other_digest != digest
         assert other.impossible_rows == []
 
 
@@ -127,7 +160,7 @@ class TestMetrics:
         snap = metrics._metrics.snapshot()["metrics"]
         series = snap["campaign_outcomes_total"]["series"]
         total = sum(int(s["value"]) for s in series)
-        assert total == len(report.rows) == 8
+        assert total == report.total_pairs == 8
 
 
 class TestCli:

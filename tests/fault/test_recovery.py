@@ -158,17 +158,14 @@ class TestCheckpointMarkValidation:
         meets a corrupted mark 11 where its crashed attempt wrote 5; adopting
         it once ended the sweep with ``KeyError: 3`` in ``draw_map``."""
         from repro.adversary import FuzzConfig, run_fuzz
+        from repro.adversary.fuzz import _evaluate_case, build_cases
         from repro.adversary.specs import table1_battery
         from repro.fault.campaign import DETECTED
 
-        report = run_fuzz(
-            table1_battery(),
-            runs=28,
-            config=FuzzConfig(seed=2017, fault_every=5),
-            workers=1,
-        )
-        assert len(report.rows) == 28
-        case = report.rows[24]
+        config = FuzzConfig(seed=2017, fault_every=5)
+        report = run_fuzz(table1_battery(), runs=28, config=config, workers=1)
+        assert report.total_cases == 28 and report.ok
+        case = _evaluate_case(build_cases(table1_battery(), 28, config)[24])
         assert case.spec.label == "Grid3x4"
         assert case.outcome == DETECTED
         assert "out of discovery order" in case.detail

@@ -3,18 +3,21 @@
 Four independent computations of view equivalence must induce the *same
 partition* on every network (simple, multi-edge, or looped):
 
-* the flat-array numpy kernel (``view_refinement`` with ``kernel="numpy"``,
-  the production default),
-* the Paige–Tarjan worklist refinement (``kernel="worklist"``),
+* the flat-array numpy kernel (:func:`repro.perf.refine_numpy`, which
+  ``view_refinement`` runs from ``VIEW_NUMPY_MIN_NODES`` nodes on),
+* the Paige–Tarjan worklist refinement (``_refine_worklist``, which it
+  runs below that),
 * the round-based reference implementation (``view_refinement_baseline``,
   the Norris bound made executable), and
 * grouping nodes by their depth-``(n-1)`` :func:`view_tree` encodings
   (Norris's theorem: depth ``n-1`` suffices to decide view equivalence).
 
-Also pinned here: cached and uncached calls agree, ``max_rounds`` routes to
-the round-based semantics, and every backend's canonical class ids are
-equivariant under node renumbering and under globally-consistent port
-relabelings (the properties ``view_order_leader``'s correctness rests on).
+The backends are called directly here; production code reaches them only
+through the size rule.  Also pinned here: cached and uncached calls agree,
+the baseline's ``max_rounds`` gives the round-based depth-limited
+classes, and every backend's canonical class ids are equivariant under
+node renumbering and under globally-consistent port relabelings (the
+properties ``view_order_leader``'s correctness rests on).
 """
 
 import random
@@ -27,11 +30,25 @@ from repro.graphs.builders import cycle_graph, petersen_graph
 from repro.graphs.cayley import hypercube_cayley, torus_cayley
 from repro.graphs.network import AnonymousNetwork
 from repro.graphs.views import (
+    _normalize_colors,
+    _refine_worklist,
     view_refinement,
     view_refinement_baseline,
     view_tree,
 )
-from repro.perf import KERNELS, uncached
+from repro.perf import refine_numpy, uncached
+
+#: Every view-refinement backend, as ``(network, colors) -> class ids``.
+BACKENDS = {
+    "numpy": lambda net, colors=None: refine_numpy(
+        net, _normalize_colors(net, colors)
+    ),
+    "worklist": lambda net, colors=None: _refine_worklist(
+        net, _normalize_colors(net, colors)
+    ),
+    "baseline": view_refinement_baseline,
+}
+KERNELS = tuple(BACKENDS)
 
 SETTINGS = settings(
     max_examples=60,
@@ -137,11 +154,17 @@ def test_cached_equals_uncached(case):
 @SETTINGS
 @given(colored_networks(max_nodes=6), st.integers(0, 6))
 def test_max_rounds_routes_to_round_semantics(case, rounds):
-    """Depth-limited classes are defined by the round-based reference."""
+    """Depth-limited classes: ``max_rounds`` synchronized rounds, and the
+    full fixpoint once the rounds reach the Norris bound ``n - 1``."""
     net, colors = case
-    assert view_refinement(net, colors, max_rounds=rounds) == (
-        view_refinement_baseline(net, colors, max_rounds=rounds)
-    )
+    limited = view_refinement_baseline(net, colors, max_rounds=rounds)
+    if rounds == 0:
+        assert limited == _normalize_colors(net, colors)
+    one_more = view_refinement_baseline(net, colors, max_rounds=rounds + 1)
+    # Each round only splits classes: the next depth refines this one.
+    assert len(set(one_more)) >= len(set(limited))
+    if rounds >= net.num_nodes - 1:
+        assert partition_of(limited) == partition_of(view_refinement(net, colors))
 
 
 @SETTINGS
@@ -170,7 +193,7 @@ def test_all_backends_same_partition(case):
     net, colors = case
     with uncached():
         parts = {
-            k: partition_of(view_refinement(net, colors, kernel=k))
+            k: partition_of(BACKENDS[k](net, colors))
             for k in KERNELS
         }
     assert parts["numpy"] == parts["worklist"] == parts["baseline"]
@@ -183,10 +206,8 @@ def test_backend_ids_equivariant_under_renumbering(net, perm_seed, kernel):
     perm = list(range(net.num_nodes))
     random.Random(perm_seed).shuffle(perm)
     with uncached():
-        ids = view_refinement(net, kernel=kernel)
-        permuted_ids = view_refinement(
-            net.with_nodes_permuted(perm), kernel=kernel
-        )
+        ids = BACKENDS[kernel](net)
+        permuted_ids = BACKENDS[kernel](net.with_nodes_permuted(perm))
     assert all(permuted_ids[perm[v]] == ids[v] for v in net.nodes())
 
 
@@ -210,10 +231,10 @@ def test_backends_agree_on_relabeled_port_shifted_copies(net, perm_seed):
     )
     with uncached():
         base = {
-            k: partition_of(view_refinement(net, kernel=k)) for k in KERNELS
+            k: partition_of(BACKENDS[k](net)) for k in KERNELS
         }
         shifted = {
-            k: partition_of(view_refinement(copy, kernel=k)) for k in KERNELS
+            k: partition_of(BACKENDS[k](copy)) for k in KERNELS
         }
     assert base["numpy"] == base["worklist"] == base["baseline"]
     assert shifted["numpy"] == shifted["worklist"] == shifted["baseline"]
@@ -242,7 +263,7 @@ def test_backends_agree_on_structured_families(name, build):
     for colors in colorings:
         with uncached():
             parts = [
-                partition_of(view_refinement(net, colors, kernel=k))
+                partition_of(BACKENDS[k](net, colors))
                 for k in KERNELS
             ]
         assert parts[0] == parts[1] == parts[2], (name, colors)

@@ -121,13 +121,19 @@ class TestCampaignLedger:
     """Campaign runners write rows = case count, byte-identically."""
 
     def test_fault_campaign_rows_match_report(self, tmp_path):
-        from repro.fault.campaign import CampaignConfig, run_campaign
+        from repro.fault.campaign import (
+            CampaignConfig,
+            _evaluate_pair,
+            build_pairs,
+            run_campaign,
+            standard_battery,
+        )
 
         ledger = RunLedger(":memory:")
         report = run_campaign(
             pairs=8, config=CampaignConfig(seed=3), quick=True, ledger=ledger
         )
-        assert ledger.count(kind="fault") == len(report.rows)
+        assert ledger.count(kind="fault") == report.total_pairs == 8
         assert ledger.outcomes(kind="fault") == {
             k: v for k, v in report.counts.items() if v
         }
@@ -135,6 +141,17 @@ class TestCampaignLedger:
         assert len(row["chash"]) == 64
         assert row["budget"] > 0
         assert row["trace_id"] and row["span_id"]
+        # Row by row, the ledger holds what the serial oracle computes.
+        oracle = [
+            _evaluate_pair(task)
+            for task in build_pairs(
+                standard_battery(quick=True), 8, CampaignConfig(seed=3)
+            )
+        ]
+        stored = sorted(ledger.rows(kind="fault"), key=lambda r: r["case_index"])
+        assert [(r["outcome"], r["moves"], r["steps"]) for r in stored] == [
+            (o.outcome, o.moves, o.steps) for o in oracle
+        ]
         ledger.close()
 
     def test_fault_ledger_digest_is_worker_invariant(self, tmp_path):
@@ -161,7 +178,7 @@ class TestCampaignLedger:
         report = run_fuzz(
             runs=10, config=FuzzConfig(seed=5), quick=True, ledger=ledger
         )
-        assert ledger.count(kind="fuzz") == len(report.rows)
+        assert ledger.count(kind="fuzz") == report.total_cases == 10
         assert ledger.outcomes(kind="fuzz") == {
             k: v for k, v in report.counts.items() if v
         }

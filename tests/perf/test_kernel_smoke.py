@@ -1,22 +1,22 @@
-"""Smoke tests for the flat-array refinement kernel and its selector.
+"""Smoke tests for the flat-array refinement kernel and its size rule.
 
 Fast tier-1 coverage of the backend surface: numpy-vs-worklist partition
-parity on one pointed instance per benchmark family, the selector's
-error contract and its size rule, the dense-limit delegation guard, and
-the surroundings fast path.  The exhaustive parity properties live in
+parity on one pointed instance per benchmark family, exact numpy-vs-Python
+digraph refinement, the size rule, the dense-limit delegation guard, and
+the surroundings fast path.  The backends are called directly.  The
+exhaustive parity properties live in
 ``tests/graphs/test_refinement_parity.py``; this file is the cheap canary
 that runs on every CI job.
 """
 
 import pytest
 
-from repro.errors import GraphError
 from repro.graphs.builders import cycle_graph, petersen_graph, random_connected_graph
+from repro.graphs.canonical import Digraph, _digraph_refinement_python
 from repro.graphs.cayley import hypercube_cayley, torus_cayley
-from repro.graphs.surroundings import surrounding
-from repro.graphs.views import view_refinement
+from repro.graphs.surroundings import _surrounding_arcs_python, surrounding
+from repro.graphs.views import _normalize_colors, _refine_worklist, view_refinement
 from repro.perf import (
-    KERNELS,
     default_kernel,
     flat_network,
     refine_numpy,
@@ -46,29 +46,33 @@ def test_numpy_matches_worklist_per_family(name, build):
     net = build()
     colors = [1] + [0] * (net.num_nodes - 1)  # pointed: the hard case
     with uncached():
-        numpy_ids = view_refinement(net, colors, kernel="numpy")
-        worklist_ids = view_refinement(net, colors, kernel="worklist")
+        numpy_ids = refine_numpy(net, colors)
+        worklist_ids = _refine_worklist(net, _normalize_colors(net, colors))
     assert partition_of(numpy_ids) == partition_of(worklist_ids)
 
 
-def test_selector_rejects_unknown_kernels():
-    with pytest.raises(GraphError, match="unknown refinement kernel"):
-        resolve_kernel("cython", 10, kernel_mod.DIGRAPH_NUMPY_MIN_NODES)
-    with pytest.raises(GraphError, match="unknown refinement kernel"):
-        view_refinement(cycle_graph(4), kernel="cython")
+@pytest.mark.parametrize("name,build", FAMILIES, ids=[n for n, _ in FAMILIES])
+def test_digraph_kernel_matches_python_numbering(name, build):
+    """The numpy digraph kernel reproduces the Python ids bit for bit."""
+    net = build()
+    for u in (0, net.num_nodes // 2):
+        g = surrounding(net, u)
+        initial = [1 if x == u else 0 for x in range(g.num_nodes)]
+        assert kernel_mod.DigraphKernel(g).refine(initial) == (
+            _digraph_refinement_python(g, initial)
+        ), (name, u)
 
 
 @pytest.mark.parametrize(
     "crossover", ["DIGRAPH_NUMPY_MIN_NODES", "VIEW_NUMPY_MIN_NODES"]
 )
 def test_size_rule_picks_python_below_the_crossover(crossover):
-    """Without ``kernel=``, each function picks its backend by node count."""
+    """Each function picks its backend by node count."""
     limit = getattr(kernel_mod, crossover)
-    assert resolve_kernel(None, limit - 1, limit) == "worklist"
-    assert resolve_kernel(None, limit, limit) == "numpy"
-    for k in KERNELS:  # an explicit selector always wins
-        assert resolve_kernel(k, 1, limit) == k
-        assert resolve_kernel(k, 10 * limit, limit) == k
+    assert resolve_kernel(1, limit) == "worklist"
+    assert resolve_kernel(limit - 1, limit) == "worklist"
+    assert resolve_kernel(limit, limit) == "numpy"
+    assert resolve_kernel(10 * limit, limit) == "numpy"
     assert str(limit) in default_kernel()
 
 
@@ -87,12 +91,6 @@ def test_size_rule_reaches_the_backends(monkeypatch):
         assert calls == []
         view_refinement(large, [1] + [0] * (large.num_nodes - 1))
         assert calls == [1]
-
-
-def test_kernels_tuple_is_the_public_contract():
-    assert KERNELS == ("numpy", "worklist", "baseline")
-    for k in KERNELS:
-        assert resolve_kernel(k, 10, kernel_mod.VIEW_NUMPY_MIN_NODES) == k
 
 
 def test_dense_limit_delegates_to_worklist(monkeypatch):
@@ -116,8 +114,10 @@ def test_flat_network_is_memoized_per_network():
 def test_surrounding_backends_build_the_same_digraph():
     for name, build in FAMILIES:
         net = build()
-        for u in (0, net.num_nodes // 2):
-            with uncached():
-                fast = surrounding(net, u, kernel="numpy")
-                slow = surrounding(net, u, kernel="worklist")
+        n = net.num_nodes
+        for u in (0, n // 2):
+            fast = Digraph.build(n, kernel_mod.surrounding_arcs_numpy(net, u))
+            slow = Digraph.build(n, _surrounding_arcs_python(net, u))
             assert fast == slow, (name, u)
+            with uncached():
+                assert surrounding(net, u) == slow, (name, u)

@@ -164,17 +164,30 @@ def test_table1_parallel_is_byte_identical():
     reason="wall-time improvement needs more than one CPU",
 )
 def test_table1_parallel_improves_wall_time():
+    """Parallel beats serial on the best of three alternated runs each.
+
+    One run of each is at the mercy of a noisy shared machine; alternating
+    them spreads the noise over both modes, and the minima compare each
+    mode's undisturbed cost.
+    """
     import time
 
     from repro.perf import invalidate
 
-    invalidate()
-    t0 = time.perf_counter()
-    serial = reproduce_table1(quick=False)
-    serial_s = time.perf_counter() - t0
-    invalidate()
-    t0 = time.perf_counter()
-    parallel = reproduce_table1(quick=False, workers=os.cpu_count())
-    parallel_s = time.perf_counter() - t0
-    assert cells_as_tuples(serial) == cells_as_tuples(parallel)
-    assert parallel_s < serial_s
+    def timed(workers):
+        invalidate()
+        t0 = time.perf_counter()
+        table = reproduce_table1(quick=False, workers=workers)
+        return table, time.perf_counter() - t0
+
+    serial_times, parallel_times = [], []
+    for _ in range(3):
+        serial, serial_s = timed(1)
+        parallel, parallel_s = timed(os.cpu_count())
+        assert cells_as_tuples(serial) == cells_as_tuples(parallel)
+        serial_times.append(serial_s)
+        parallel_times.append(parallel_s)
+    assert min(parallel_times) < min(serial_times), (
+        serial_times,
+        parallel_times,
+    )
